@@ -1,0 +1,186 @@
+"""Eigenpath tracking along the homotopy A(t) = diag(A) + t * Omega(A).
+
+At t = 0 the decomposition is trivial (Q = I, Sigma = diag(A)); at t = 1 it
+is the decomposition of A. Each step rotates the remaining off-diagonal mass
+into the current eigenbasis, B = Sigma(t_k) + s_k Q^T Omega(A) Q, solves all
+n eigenpairs of B independently with the targeted iteration, and composes the
+resulting eigenvector matrix into Q. Step lengths are chosen adaptively from
+the current spectrum's minimum relative gap.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from .errors import CollapsedGap, InvalidOptions, StepLimit, TrackerStalled
+from .diagnostics import min_relative_gap
+from .matcore import SymMatrix, as_symmatrix, omega
+from .solver import SolveOptions, SolveStatus, solve
+
+__all__ = ["GAP_FLOOR", "TrackerConfig", "HomotopyStep", "HomotopyPath",
+           "step_length", "track"]
+
+# Relative-gap floor below which paths are treated as crossing.
+GAP_FLOOR = 1e-14
+
+_MAX_HALVINGS = 10
+
+
+@dataclass
+class TrackerConfig:
+    """c scales the step rule s = min(1 - t, c * gap / ||Omega||_F)."""
+
+    c: float = 1.0
+    max_steps: int = 10000
+    solve_opts: SolveOptions | None = None  # template for the per-pair solves
+
+
+@dataclass
+class HomotopyStep:
+    """State on arrival at t (s is the step length that got there)."""
+
+    t: float
+    s: float
+    sigma: np.ndarray
+    gamma_hat: float
+    iters_per_eig: np.ndarray
+
+
+@dataclass
+class HomotopyPath:
+    steps: list[HomotopyStep] = field(default_factory=list)
+    final_q: np.ndarray | None = None
+    total_steps: int = 0
+    avg_iters: float = 0.0
+    # Worst ||Q^T Q - I||_F seen over the whole path (orthogonality audit).
+    max_orth_defect: float = 0.0
+
+
+def step_length(gamma_hat: float, omega_frob: float, c: float, t: float) -> float:
+    """Adaptive step: s = min(1 - t, c * gamma_hat / omega_frob).
+
+    Keeps the perturbation s * ||Omega||_F at most c times the current gap
+    ("of order unity" for c = 1). A diagonal matrix (omega_frob == 0) steps
+    straight to 1. Raises CollapsedGap when the gap is at or below the floor.
+    """
+    if c <= 0.0:
+        raise InvalidOptions("step constant c must be positive")
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"t must lie in [0, 1), got {t!r}")
+    if gamma_hat <= GAP_FLOOR:
+        raise CollapsedGap(
+            f"relative gap {gamma_hat:.3e} at t = {t:.6g} is below the floor"
+        )
+    if omega_frob == 0.0:
+        return 1.0 - t
+    return min(1.0 - t, c * gamma_hat / omega_frob)
+
+
+def _orthonormalize(u: np.ndarray) -> np.ndarray:
+    """One modified Gram-Schmidt pass over the columns, in place."""
+    n = u.shape[1]
+    for j in range(n):
+        col = u[:, j]
+        for i in range(j):
+            col -= (u[:, i] @ col) * u[:, i]
+        nrm = np.linalg.norm(col)
+        if nrm == 0.0:  # pragma: no cover - only on rank collapse
+            raise CollapsedGap("eigenvector columns became linearly dependent")
+        col /= nrm
+    return u
+
+
+def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
+    """Follow all n eigenpaths from diag(A) to A.
+
+    Needs distinct diagonal entries at t = 0 (simple starting spectrum).
+    Raises CollapsedGap if paths fuse along the way, StepLimit if max_steps
+    is hit, TrackerStalled if a sub-solve keeps failing after 10 halvings of
+    the step.
+    """
+    cfg = cfg if cfg is not None else TrackerConfig()
+    if cfg.max_steps < 1:
+        raise InvalidOptions("max_steps must be at least 1")
+    M = as_symmatrix(A)
+    n = M.n
+    om = omega(M).a
+    om_frob = float(np.linalg.norm(om))
+    template = cfg.solve_opts if cfg.solve_opts is not None else SolveOptions(m=1)
+
+    q = np.eye(n)
+    diag_a = M.a.diagonal().copy()
+    sigma = diag_a.copy()
+    path = HomotopyPath()
+
+    if n == 1:
+        path.steps.append(HomotopyStep(
+            t=1.0, s=1.0, sigma=sigma.copy(), gamma_hat=np.inf,
+            iters_per_eig=np.zeros(1, dtype=int)))
+        path.final_q = q
+        path.total_steps = 1
+        return path
+
+    t = 0.0
+    all_iters: list[int] = []
+    while t < 1.0:
+        if len(path.steps) >= cfg.max_steps:
+            raise StepLimit(f"no arrival at t = 1 within {cfg.max_steps} steps")
+        gh = min_relative_gap(sigma).gamma
+        s = step_length(gh, om_frob, cfg.c, t)
+        # Rotate A(t) into the tracked basis once per step. Writing the
+        # target as Q^T A(t_next) Q (= Sigma + s Q^T Omega Q when the
+        # previous step solved exactly) keeps the per-step solver residual
+        # from accumulating into Sigma over hundreds of steps.
+        base = q.T @ np.diag(diag_a) @ q
+        mixed = q.T @ om @ q
+        mixed = 0.5 * (mixed + mixed.T)
+        base = 0.5 * (base + base.T)
+
+        accepted = None
+        last_bad: tuple[float, int, SolveStatus] | None = None
+        for _ in range(_MAX_HALVINGS + 1):
+            t_next = t + s
+            if t_next > 1.0 - 1e-12:
+                t_next = 1.0
+            s_eff = t_next - t
+            B = SymMatrix._wrap(base + t_next * mixed)
+
+            # solve copies internally, so the n targets are independent runs
+            results = []
+            for m in range(1, n + 1):
+                opts = replace(template, m=m, want_vector=True,
+                               record_history=False)
+                results.append(solve(B, opts))
+            bad = next((r for r in results
+                        if r.status is not SolveStatus.CONVERGED), None)
+            if bad is None:
+                accepted = (t_next, s_eff, results)
+                break
+            last_bad = (t_next, results.index(bad) + 1, bad.status)
+            s *= 0.5
+        if accepted is None:
+            t_bad, m_bad, status = last_bad
+            raise TrackerStalled(t_bad, m_bad, status.value)
+
+        t_next, s_eff, results = accepted
+        u = np.column_stack([r.vector for r in results])
+        _orthonormalize(u)
+        q = q @ u
+        sigma = np.array([r.lambda_hat for r in results])
+        iters = np.array([r.sweeps_used for r in results])
+        all_iters.extend(int(k) for k in iters)
+
+        defect = float(np.linalg.norm(q.T @ q - np.eye(n)))
+        path.max_orth_defect = max(path.max_orth_defect, defect)
+        gh_arrival = min_relative_gap(sigma).gamma
+        path.steps.append(HomotopyStep(
+            t=t_next, s=s_eff, sigma=sigma.copy(),
+            gamma_hat=gh_arrival, iters_per_eig=iters))
+        t = t_next
+
+    path.final_q = q
+    path.total_steps = len(path.steps)
+    path.avg_iters = float(np.mean(all_iters)) if all_iters else 0.0
+    return path
