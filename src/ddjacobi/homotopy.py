@@ -3,9 +3,10 @@
 At t = 0 the decomposition is trivial (Q = I, Sigma = diag(A)); at t = 1 it
 is the decomposition of A. Each step rotates the remaining off-diagonal mass
 into the current eigenbasis, B = Sigma(t_k) + s_k Q^T Omega(A) Q, solves all
-n eigenpairs of B independently with the targeted iteration, and composes the
-resulting eigenvector matrix into Q. Step lengths are chosen adaptively from
-the current spectrum's minimum relative gap.
+n eigenpairs of B as one batch of independent targeted iterations
+(:func:`ddjacobi.solver.solve_many`), and composes the resulting eigenvector
+matrix into Q. Step lengths are chosen adaptively from the current spectrum's
+minimum relative gap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import CollapsedGap, InvalidOptions, StepLimit, TrackerStalled
 from .diagnostics import min_relative_gap
 from .matcore import SymMatrix, as_symmatrix, omega
-from .solver import SolveOptions, SolveStatus, solve
+from .solver import SolveOptions, SolveStatus, solve_many
 
 __all__ = ["GAP_FLOOR", "TrackerConfig", "HomotopyStep", "HomotopyPath",
            "step_length", "track"]
@@ -39,13 +40,17 @@ class TrackerConfig:
 
 @dataclass
 class HomotopyStep:
-    """State on arrival at t (s is the step length that got there)."""
+    """State on arrival at t (s is the step length that got there).
+
+    ``halvings`` counts the step halvings taken before the step was accepted.
+    """
 
     t: float
     s: float
     sigma: np.ndarray
     gamma_hat: float
     iters_per_eig: np.ndarray
+    halvings: int = 0
 
 
 @dataclass
@@ -103,11 +108,14 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     cfg = cfg if cfg is not None else TrackerConfig()
     if cfg.max_steps < 1:
         raise InvalidOptions("max_steps must be at least 1")
+    if not cfg.c > 0.0:
+        raise InvalidOptions("step constant c must be positive")
     M = as_symmatrix(A)
     n = M.n
     om = omega(M).a
     om_frob = float(np.linalg.norm(om))
     template = cfg.solve_opts if cfg.solve_opts is not None else SolveOptions(m=1)
+    opts = replace(template, want_vector=True, record_history=False)
 
     q = np.eye(n)
     diag_a = M.a.diagonal().copy()
@@ -140,31 +148,26 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
 
         accepted = None
         last_bad: tuple[float, int, SolveStatus] | None = None
-        for _ in range(_MAX_HALVINGS + 1):
+        for halvings in range(_MAX_HALVINGS + 1):
             t_next = t + s
             if t_next > 1.0 - 1e-12:
                 t_next = 1.0
             s_eff = t_next - t
             B = SymMatrix._wrap(base + t_next * mixed)
 
-            # solve copies internally, so the n targets are independent runs
-            results = []
-            for m in range(1, n + 1):
-                opts = replace(template, m=m, want_vector=True,
-                               record_history=False)
-                results.append(solve(B, opts))
-            bad = next((r for r in results
+            results = solve_many(B, range(1, n + 1), opts)
+            bad = next((m for m, r in enumerate(results, 1)
                         if r.status is not SolveStatus.CONVERGED), None)
             if bad is None:
-                accepted = (t_next, s_eff, results)
+                accepted = (t_next, s_eff, halvings, results)
                 break
-            last_bad = (t_next, results.index(bad) + 1, bad.status)
+            last_bad = (t_next, bad, results[bad - 1].status)
             s *= 0.5
         if accepted is None:
             t_bad, m_bad, status = last_bad
             raise TrackerStalled(t_bad, m_bad, status.value)
 
-        t_next, s_eff, results = accepted
+        t_next, s_eff, halvings, results = accepted
         u = np.column_stack([r.vector for r in results])
         _orthonormalize(u)
         q = q @ u
@@ -177,7 +180,7 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
         gh_arrival = min_relative_gap(sigma).gamma
         path.steps.append(HomotopyStep(
             t=t_next, s=s_eff, sigma=sigma.copy(),
-            gamma_hat=gh_arrival, iters_per_eig=iters))
+            gamma_hat=gh_arrival, iters_per_eig=iters, halvings=halvings))
         t = t_next
 
     path.final_q = q

@@ -231,6 +231,12 @@ class Permutation:
         return out
 
 
+def _peak_positive(v: np.ndarray) -> np.ndarray:
+    """v with its sign flipped, if needed, so its largest-magnitude entry is
+    positive (lowest index on ties): the package's eigenvector sign rule."""
+    return -v if v[int(np.argmax(np.abs(v)))] < 0.0 else v
+
+
 def sort_by_diagonal(A) -> tuple[SymMatrix, Permutation]:
     """Reorder so the diagonal ascends; stable for equal entries."""
     a = _entries(A)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .matcore import EPS, as_symmatrix
+from .matcore import EPS, _peak_positive, as_symmatrix
 from .rotation import apply_right, apply_two_sided, jacobi_angle
 
 __all__ = ["EigDecomposition", "full_jacobi"]
@@ -71,9 +71,6 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposi
     order = np.argsort(a.diagonal(), kind="stable")
     values = a.diagonal()[order].copy()
     vectors = V[:, order].copy()
-    # Same sign convention as solver.eigenvector: peak component positive.
     for j in range(n):
-        col = vectors[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            vectors[:, j] = -col
+        vectors[:, j] = _peak_positive(vectors[:, j])
     return EigDecomposition(values=values, vectors=vectors)

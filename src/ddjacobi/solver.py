@@ -6,6 +6,7 @@ rotates in the planes (k, m) for k = 1..m-1 ascending and k = n..m+1
 descending, annihilating A[m, k] whenever its magnitude clears the ``tol``
 gate. Rotations carry the ordering policy of :func:`ddjacobi.rotation.schur2`,
 which keeps the diagonal sorted as it converges to the eigenvalues.
+:func:`solve_many` runs several ranks of one matrix as one batch.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidOptions, VectorNotAccumulated
-from .matcore import EPS, Permutation, SymMatrix, as_symmatrix, sort_by_diagonal
+from .matcore import (EPS, Permutation, SymMatrix, _peak_positive, as_symmatrix,
+                      sort_by_diagonal)
 from .rotation import _tangent_cs
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
-           "STOP_REL_DEFAULT", "solve", "sweep", "eigenvector"]
+           "STOP_REL_DEFAULT", "solve", "solve_many", "sweep", "eigenvector"]
 
 STOP_REL_DEFAULT = math.sqrt(EPS)
 
@@ -185,6 +187,184 @@ def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int) -> SweepRecord:
     )
 
 
+def _sweep_many(a: np.ndarray, vt: np.ndarray | None, targets: list[int],
+                ranks: list[int], tol: float) -> list[int]:
+    """One sweep of every listed target at once; rotations applied per target.
+
+    ``a`` is the (targets x n x n) working stack and ``vt`` the matching stack
+    of transposed rotation products (row j of ``vt[i]`` is column j of V).
+    Plan step j rotates every target in its own plane (k_j, m) with the
+    elementwise expressions of :func:`sweep`, so each target comes out
+    bit-identical to a :func:`sweep` of its own slice. Only the tangent's
+    hypot runs per element, through ``math.hypot`` as in ``_tangent_cs``.
+    Memory beyond the stacks is O(n * targets).
+    """
+    n = a.shape[1]
+    a2, v2 = a.reshape(-1, n), None if vt is None else vt.reshape(-1, n)
+    af, at = a.reshape(-1), a.transpose(0, 2, 1)
+    tix = np.asarray(targets)
+    m0 = np.asarray([ranks[i] - 1 for i in targets])
+    # Plan step j of target m0: k = 0..m0-1 ascending, then n-1..m0+1 descending.
+    step = np.arange(n - 1)[:, None]
+    k = np.where(step < m0, step, n - 1 + m0 - step)
+    planes = np.stack((np.minimum(k, m0), np.maximum(k, m0)), axis=1)  # (n-1, 2, targets)
+    rows = planes + tix * n  # rows p and q in the (targets * n, n) views
+    p, q = planes[:, 0], planes[:, 1]
+    pp, pq = rows[:, 0] * n + p, rows[:, 0] * n + q
+    qq, qp = rows[:, 1] * n + q, rows[:, 1] * n + p
+    entries = np.stack((pp, pq, qq), axis=1)  # flat (p, p), (p, q), (q, q)
+    diag, zero = np.stack((pp, qq), axis=1), np.stack((pq, qp), axis=1)
+
+    sign = np.array([[-1.0], [1.0]])
+    counts = np.zeros(m0.size, dtype=int)
+    for j in range(n - 1):
+        g = af[entries[j]]
+        live = (g[1] != 0.0) & ~(np.abs(g[1]) < tol)
+        nlive = np.count_nonzero(live)
+        if not nlive:
+            continue
+        counts += live
+        sel = slice(None) if nlive == live.size else live
+        g = g[:, sel]
+        app, apq, aqq = g
+        theta = (aqq - app) / (2.0 * apq)
+        hyp = np.array([math.hypot(1.0, th) for th in theta.tolist()])
+        # theta + 0.0 turns -0.0 into +0.0, so theta == 0 gives t = 1 / 1.
+        t = np.copysign(1.0, theta + 0.0) / (np.abs(theta) + hyp)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        wa = np.array((c, t * c))  # (w11, w12) = (c, s)
+        wb = wa[::-1] * sign  # (w21, w22) = (-s, c)
+        # cd = ((c1, d1), (c2, d2)) of sweep; d = new (a_pp, a_qq).
+        cd = g[:2, None] * wa + g[1:, None] * wb
+        d = wa * cd[0] + wb * cd[1]
+        wa, wb = wa[:, :, None], wb[:, :, None]
+        src, cols, ds = rows[j][:, sel], planes[j][:, sel], diag[j][:, sel]
+        dst = src
+        tpq = t * apq
+        swap = app - tpq > aqq + tpq
+        if np.count_nonzero(swap):
+            # Swapping the columns of the rotation swaps where the two
+            # results of the unswapped one land: row/column p <-> q.
+            dst = np.where(swap, src[::-1], src)
+            cols = np.where(swap, cols[::-1], cols)
+            ds = np.where(swap, ds[::-1], ds)
+        r = a2[src]
+        r = r[0] * wa + r[1] * wb
+        a2[dst] = r
+        at[tix[sel], cols] = r
+        af[ds] = d
+        af[zero[j][:, sel]] = 0.0
+        if v2 is not None:
+            r = v2[src]
+            v2[dst] = r[0] * wa + r[1] * wb
+    return counts.tolist()
+
+
+class _Target:
+    """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
+
+    def __init__(self, m: int, record_history: bool):
+        self.m0 = m - 1
+        self.record_history = record_history
+        self.history: list[SweepRecord] = []
+        self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
+        self.status = SolveStatus.MAX_SWEEPS
+        self.sweeps_used = 0
+
+    def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
+        """Record the state after sweep k; True once a stopping rule fired."""
+        off_m = _row_off(a, self.m0)
+        if self.record_history:
+            self.history.append(_snapshot(a, self.m0, k, rotations))
+        recent = self.recent
+        recent.append(off_m)
+        self.sweeps_used = k
+        if off_m <= threshold:
+            self.status = SolveStatus.CONVERGED
+        elif k == 0:
+            return False
+        elif rotations == 0:
+            self.status = SolveStatus.TOLERANCE_FLOOR
+        elif (len(recent) == recent.maxlen
+                and recent[-1] > (1.0 - _STAGNATION_DROP) * recent[0]):
+            self.status = SolveStatus.STAGNATED
+        else:
+            return False
+        return True
+
+
+def _check_options(n: int, ms, opts: SolveOptions) -> list[int]:
+    ranks = list(ms)
+    if not ranks:
+        raise InvalidOptions("need at least one eigenvalue rank")
+    for m in ranks:
+        if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+                or not 1 <= m <= n):
+            raise InvalidOptions(f"m must be an integer in [1, {n}], got {m!r}")
+    if opts.tol < 0.0:
+        raise InvalidOptions("tol must be nonnegative")
+    if opts.stop_rel < 0.0:
+        raise InvalidOptions("stop_rel must be nonnegative")
+    if opts.max_sweeps < 1:
+        raise InvalidOptions("max_sweeps must be at least 1")
+    return [int(m) for m in ranks]
+
+
+def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
+    """Run the targeted iteration for every rank in ``ms`` on one matrix.
+
+    Each result is bit-identical to ``solve(A, replace(opts, m=m))``; the
+    ranks come from ``ms`` and ``opts.m`` is not used. The matrix is sorted
+    and the stopping threshold computed once, then all targets that have not
+    stopped sweep together on a (targets x n x n) working stack (twice that
+    with ``want_vector``). A target leaves the batch when it stops; while a
+    single target is left it runs through :func:`sweep` directly.
+    """
+    M = as_symmatrix(A)
+    n = M.n
+    ranks = _check_options(n, ms, opts)
+
+    B, perm = sort_by_diagonal(M)
+    b = B.a
+    threshold = opts.stop_rel * float(np.linalg.norm(b))
+    runs = [_Target(m, opts.record_history) for m in ranks]
+    # sort_by_diagonal returned a private copy, so a lone target works in it.
+    work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
+    vt = None
+    if opts.want_vector:
+        # Rotation products are kept transposed so plane updates touch rows.
+        vt = np.zeros((len(ranks), n, n))
+        vt[:, np.arange(n), np.arange(n)] = 1.0
+
+    active = [i for i, run in enumerate(runs) if not run.note(work[i], 0, 0, threshold)]
+    for k in range(1, opts.max_sweeps + 1):
+        if not active:
+            break
+        if len(active) == 1:
+            i = active[0]
+            counts = [sweep(work[i], ranks[i], opts.tol, None if vt is None else vt[i].T)]
+        else:
+            counts = _sweep_many(work, vt, active, ranks, opts.tol)
+        active = [i for i, rotations in zip(active, counts)
+                  if not runs[i].note(work[i], k, rotations, threshold)]
+
+    results = []
+    for i, run in enumerate(runs):
+        vector = None
+        if opts.want_vector:
+            v = _peak_positive(perm.scatter(vt[i, run.m0]))
+            vector = v / np.linalg.norm(v)
+        results.append(EigenpairResult(
+            lambda_hat=float(work[i, run.m0, run.m0]),
+            vector=vector,
+            status=run.status,
+            sweeps_used=run.sweeps_used,
+            history=run.history,
+            permutation=perm,
+        ))
+    return results
+
+
 def solve(A, opts: SolveOptions) -> EigenpairResult:
     """Run the targeted iteration until one of the four statuses fires.
 
@@ -193,70 +373,7 @@ def solve(A, opts: SolveOptions) -> EigenpairResult:
     Stagnated: off(A(m,:)) shrank by less than 0.1% over 10 sweeps.
     MaxSweeps: the sweep budget ran out first.
     """
-    M = as_symmatrix(A)
-    n = M.n
-    if not isinstance(opts.m, (int, np.integer)) or not 1 <= opts.m <= n:
-        raise InvalidOptions(f"m must be an integer in [1, {n}], got {opts.m!r}")
-    if opts.tol < 0.0:
-        raise InvalidOptions("tol must be nonnegative")
-    if opts.stop_rel < 0.0:
-        raise InvalidOptions("stop_rel must be nonnegative")
-    if opts.max_sweeps < 1:
-        raise InvalidOptions("max_sweeps must be at least 1")
-
-    B, perm = sort_by_diagonal(M)
-    b = B.a
-    m0 = opts.m - 1
-    threshold = opts.stop_rel * float(np.linalg.norm(b))
-    V = np.eye(n) if opts.want_vector else None
-
-    history: list[SweepRecord] = []
-    recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
-
-    def note(k: int, rotations: int) -> float:
-        off_m = _row_off(b, m0)
-        if opts.record_history:
-            history.append(_snapshot(b, m0, k, rotations))
-        recent.append(off_m)
-        return off_m
-
-    off_m = note(0, 0)
-    sweeps_used = 0
-    if off_m <= threshold:
-        status = SolveStatus.CONVERGED
-    else:
-        status = SolveStatus.MAX_SWEEPS
-        for k in range(1, opts.max_sweeps + 1):
-            rotations = sweep(b, opts.m, opts.tol, V)
-            sweeps_used = k
-            off_m = note(k, rotations)
-            if off_m <= threshold:
-                status = SolveStatus.CONVERGED
-                break
-            if rotations == 0:
-                status = SolveStatus.TOLERANCE_FLOOR
-                break
-            if (len(recent) == recent.maxlen
-                    and recent[-1] > (1.0 - _STAGNATION_DROP) * recent[0]):
-                status = SolveStatus.STAGNATED
-                break
-
-    vector = None
-    if opts.want_vector:
-        v = perm.scatter(V[:, m0])
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0.0:
-            v = -v
-        vector = v / np.linalg.norm(v)
-
-    return EigenpairResult(
-        lambda_hat=float(b[m0, m0]),
-        vector=vector,
-        status=status,
-        sweeps_used=sweeps_used,
-        history=history,
-        permutation=perm,
-    )
+    return solve_many(A, [opts.m], opts)[0]
 
 
 def eigenvector(result: EigenpairResult) -> np.ndarray:

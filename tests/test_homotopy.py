@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ddjacobi.homotopy as homotopy
 from ddjacobi import (
     GAP_FLOOR,
     CollapsedGap,
@@ -9,6 +12,7 @@ from ddjacobi import (
     StepLimit,
     TrackerConfig,
     TrackerStalled,
+    solve,
     step_length,
     track,
 )
@@ -79,6 +83,57 @@ def test_tracks_dominant_instance():
     assert path.max_orth_defect <= 1e-12
     assert path.avg_iters > 0.0
     assert path.total_steps == len(path.steps)
+    assert all(step.halvings == 0 for step in path.steps)
+
+
+# Greedy steps (c = 4) with a 3-sweep budget: every step but the last is
+# halved once before its subsolves converge.
+HALVING_CASE = (lambda: dio.gen_random_dd(8, 0.3, seed=0),
+                TrackerConfig(c=4.0, solve_opts=SolveOptions(m=1, max_sweeps=3)))
+
+
+def test_halvings_are_counted():
+    make, cfg = HALVING_CASE
+    path = track(make(), cfg)
+    assert path.total_steps == 7
+    assert sum(step.halvings for step in path.steps) == 6
+    assert path.steps[-1].t == 1.0
+
+
+def _per_target_solves(B, ms, opts):
+    return [solve(B, replace(opts, m=m)) for m in ms]
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (lambda: dio.gen_random_dd(10, 0.2, seed=5), None),
+    HALVING_CASE,
+], ids=["default", "halving"])
+def test_batched_track_bit_identical_to_per_target_solves(monkeypatch, make, cfg):
+    A = make()
+    batched = track(A, cfg)
+    monkeypatch.setattr(homotopy, "solve_many", _per_target_solves)
+    looped = track(A, cfg)
+    assert batched.total_steps == looped.total_steps
+    for got, want in zip(batched.steps, looped.steps):
+        assert (got.t, got.s, got.gamma_hat, got.halvings) == \
+            (want.t, want.s, want.gamma_hat, want.halvings)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.iters_per_eig, want.iters_per_eig)
+    assert np.array_equal(batched.final_q, looped.final_q)
+    assert batched.max_orth_defect == looped.max_orth_defect
+    assert batched.avg_iters == looped.avg_iters
+
+
+def test_stall_names_the_same_rank_as_per_target_solves(monkeypatch):
+    A = dio.gen_random_dd(6, 0.2, seed=1)
+    cfg = TrackerConfig(solve_opts=SolveOptions(m=1, max_sweeps=1, stop_rel=1e-30))
+    with pytest.raises(TrackerStalled) as batched:
+        track(A, cfg)
+    monkeypatch.setattr(homotopy, "solve_many", _per_target_solves)
+    with pytest.raises(TrackerStalled) as looped:
+        track(A, cfg)
+    assert (batched.value.t, batched.value.m, batched.value.status) == \
+        (looped.value.t, looped.value.m, looped.value.status)
 
 
 def test_eigenvalue_continuity_along_path():
@@ -122,3 +177,12 @@ def test_config_validation():
     A = dio.gen_random_dd(4, 0.1, seed=0)
     with pytest.raises(InvalidOptions):
         track(A, TrackerConfig(max_steps=0))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+def test_step_constant_checked_up_front(c):
+    # n = 1 never reaches step_length, so the check must come first
+    with pytest.raises(InvalidOptions):
+        track(np.array([[4.2]]), TrackerConfig(c=c))
+    with pytest.raises(InvalidOptions):
+        track(dio.gen_random_dd(4, 0.1, seed=0), TrackerConfig(c=c))

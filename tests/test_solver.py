@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from ddjacobi import (
     SolveStatus,
     SymMatrix,
     VectorNotAccumulated,
+    as_symmatrix,
     eigenvector,
     full_jacobi,
     off_row,
     solve,
+    solve_many,
     sweep,
 )
+import ddjacobi.io as dio
 from ddjacobi.rotation import apply_right, apply_two_sided, schur2
 from conftest import rand_sym
 
@@ -156,7 +161,7 @@ class TestSolveStatuses:
 
 
 class TestSolveOptionsValidation:
-    @pytest.mark.parametrize("m", [0, -1, 9, 2.5])
+    @pytest.mark.parametrize("m", [0, -1, 9, 2.5, True, False])
     def test_bad_rank(self, rng, m):
         a = rand_sym(rng, 8)
         with pytest.raises(InvalidOptions):
@@ -274,3 +279,87 @@ def test_result_permutation_maps_to_sorted_order(rng):
     res = solve(a, SolveOptions(m=1))
     d = res.permutation.apply(a).a.diagonal()
     assert np.all(np.diff(d) >= 0)
+
+
+# name -> (matrix, options, a status that some rank must end with)
+SOLVE_MANY_CASES = {
+    "random-dd": (lambda: dio.gen_random_dd(20, 0.3, 1),
+                  SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
+    "drk1": (lambda: dio.gen_diag_rank1(63),
+             SolveOptions(m=1, stop_rel=1e-9, want_vector=True), SolveStatus.CONVERGED),
+    "gated": (lambda: dio.gen_random_dd(12, 0.05, 3),
+              SolveOptions(m=1, tol=1e-6, want_vector=True), SolveStatus.TOLERANCE_FLOOR),
+    "example1": (dio.gen_example1, SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
+    "max-sweeps": (lambda: dio.gen_random_dd(12, 0.3, 3),
+                   SolveOptions(m=1, max_sweeps=1, want_vector=True), SolveStatus.MAX_SWEEPS),
+    "tolerance-floor": (lambda: dio.gen_random_dd(12, 0.3, 3),
+                        SolveOptions(m=1, tol=0.05, stop_rel=0.0), SolveStatus.TOLERANCE_FLOOR),
+    "stagnated": (lambda: rand_sym(np.random.default_rng(4), 10),
+                  SolveOptions(m=1, stop_rel=0.0, want_vector=True), SolveStatus.STAGNATED),
+    # Equal diagonal and tiny couplings of both signs: theta is +0 or -0 and
+    # the rotated diagonal pair ties, so the swap rule sees t1 == t2.
+    "tied-diagonal": (lambda: tied_diagonal(8, 1e-20),
+                      SolveOptions(m=1, stop_rel=0.0, want_vector=True), SolveStatus.CONVERGED),
+}
+
+
+def tied_diagonal(n, scale):
+    signs = np.random.default_rng(2).choice([-1.0, 1.0], (n, n))
+    x = np.triu(signs, 1) * scale
+    a = x + x.T
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+def assert_same_result(got, want):
+    assert got.lambda_hat == want.lambda_hat
+    assert got.status is want.status
+    assert got.sweeps_used == want.sweeps_used
+    assert got.history == want.history
+    if want.vector is None:
+        assert got.vector is None
+    else:
+        assert np.array_equal(got.vector, want.vector)
+    assert np.array_equal(got.permutation.indices, want.permutation.indices)
+
+
+@pytest.mark.parametrize("case", SOLVE_MANY_CASES)
+def test_solve_many_bit_identical_to_solve(case):
+    make, opts, expected = SOLVE_MANY_CASES[case]
+    A = make()
+    n = as_symmatrix(A).n
+    batch = solve_many(A, range(1, n + 1), opts)
+    assert len(batch) == n
+    assert any(r.status is expected for r in batch)
+    for m, got in enumerate(batch, 1):
+        assert_same_result(got, solve(A, replace(opts, m=m)))
+
+
+def test_solve_many_follows_the_order_of_ms():
+    A = dio.gen_random_dd(12, 0.2, 7)
+    opts = SolveOptions(m=1, want_vector=True)
+    ms = [7, 2, 11, 2]
+    for m, got in zip(ms, solve_many(A, ms, opts)):
+        assert_same_result(got, solve(A, replace(opts, m=m)))
+
+
+def test_solve_many_does_not_mutate_input(rng):
+    a = rand_sym(rng, 6)
+    M = SymMatrix(a.copy())
+    solve_many(M, [1, 3, 6], SolveOptions(m=1, want_vector=True))
+    assert np.array_equal(M.a, a)
+
+
+class TestSolveManyValidation:
+    @pytest.mark.parametrize("ms", [[1, 9], [0, 2], [2, 2.5], [1, True]])
+    def test_bad_rank_among_ms(self, rng, ms):
+        with pytest.raises(InvalidOptions):
+            solve_many(rand_sym(rng, 8), ms, SolveOptions(m=1))
+
+    def test_empty_ms(self, rng):
+        with pytest.raises(InvalidOptions):
+            solve_many(rand_sym(rng, 8), [], SolveOptions(m=1))
+
+    def test_bad_scalars(self, rng):
+        with pytest.raises(InvalidOptions):
+            solve_many(rand_sym(rng, 4), [1, 2], SolveOptions(m=1, max_sweeps=0))
