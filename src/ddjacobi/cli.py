@@ -28,7 +28,7 @@ from .errors import (
     TrackerStalled,
 )
 from .homotopy import TrackerConfig, track
-from .reference import full_jacobi
+from .reference import _exact_values, full_jacobi
 from .solver import STOP_REL_DEFAULT, SolveOptions, SolveStatus, solve
 from .spectral import fiedler_partition, gaussian_similarity, normalized_laplacian
 
@@ -51,11 +51,6 @@ _STATUS_CODE = {
     SolveStatus.STAGNATED: ExitCode.STAGNATED,
 }
 
-# At this order and above, exact-mode spectra come from LAPACK instead of the
-# in-package Jacobi oracle (same values, hours faster on dataset-sized input).
-_ORACLE_CUTOFF = 128
-
-
 class _UsageError(Exception):
     pass
 
@@ -75,12 +70,6 @@ def _vec_csv(v) -> str:
     return ",".join(repr(float(x)) for x in v)
 
 
-def _exact_values(L) -> np.ndarray:
-    if L.n <= _ORACLE_CUTOFF:
-        return full_jacobi(L).values
-    return np.linalg.eigvalsh(L.a)
-
-
 def _check_rank(m: int, n: int | None = None) -> None:
     if m < 1:
         raise _UsageError(f"--m must be at least 1, got {m}")
@@ -95,10 +84,7 @@ def cmd_eig(args) -> int:
     opts = SolveOptions(m=args.m, tol=args.tol, stop_rel=args.stop_rel,
                         max_sweeps=args.max_sweeps, want_vector=args.vector)
     res = solve(A, opts)
-    err_per_sweep = None
-    if args.ref:
-        lam = full_jacobi(A).values[args.m - 1]
-        err_per_sweep = [abs(rec.a_mm - lam) for rec in res.history]
+    lam = _exact_values(A)[args.m - 1] if args.ref else None
     _emit("lambda_hat", res.lambda_hat)
     _emit("status", res.status.value)
     _emit("sweeps", res.sweeps_used)
@@ -106,8 +92,8 @@ def cmd_eig(args) -> int:
         _emit("vector", _vec_csv(res.vector))
     if args.history:
         rows = [dio.HistoryRow.from_record(
-                    rec, None if err_per_sweep is None else err_per_sweep[i])
-                for i, rec in enumerate(res.history)]
+                    rec, None if lam is None else abs(rec.a_mm - lam))
+                for rec in res.history]
         dio.write_history_csv(args.history, rows)
     return int(_STATUS_CODE[res.status])
 
@@ -196,8 +182,7 @@ def cmd_diagnose(args) -> int:
     _check_rank(args.m)
     A = dio.read_matrix(args.input)
     _check_rank(args.m, A.n)
-    values = _exact_values(A) if args.exact else None
-    rep = diagnose(A, args.m, values=values)
+    rep = diagnose(A, args.m, exact=args.exact)
     _emit("alpha0", rep.alpha0)
     _emit("gamma_hat", rep.gamma_hat)
     _emit("foa_factor", rep.foa_factor)
@@ -226,7 +211,7 @@ def _build_parser() -> _Parser:
     eig.add_argument("--vector", action="store_true")
     eig.add_argument("--history", help="write per-sweep CSV here")
     eig.add_argument("--ref", action="store_true",
-                     help="also run the O(n^3) oracle for err_vs_ref")
+                     help="also compute the exact spectrum for err_vs_ref")
     eig.set_defaults(fn=cmd_eig)
 
     full = sub.add_parser("full", help="full spectrum via classical Jacobi")
@@ -276,10 +261,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return int(ExitCode.USAGE)
-    except InvalidOptions as exc:
+    except (_UsageError, InvalidOptions) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return int(ExitCode.USAGE)
     except (InputError, ValueError) as exc:

@@ -23,14 +23,11 @@ from .errors import (
     ZeroDiagonal,
 )
 from .matcore import EPS, as_symmatrix, off_norm, scaled, sort_by_diagonal
-from .reference import full_jacobi
+from .reference import _exact_values
 
 __all__ = ["GapSet", "DiagnosticsReport", "min_relative_gap", "rel", "alpha",
            "gap_hat", "thm2_bound", "foa_factor", "sep_bound", "fit_rate",
            "diagnose"]
-
-# Contraction factor of the certified linear bound: 2.8 * 1.001 * alpha0/gamma.
-_THM2_COEFF = 2.8 * 1.001
 
 
 @dataclass
@@ -136,9 +133,13 @@ def thm2_bound(alpha0: float, gamma: float, n: int, ell: int) -> tuple[bool, flo
         raise ValueError("bound is stated for n >= 3")
     if not 1 <= ell <= n:
         raise ValueError(f"ell must be in [1, {n}]")
-    applicable = alpha0 <= min(1.0 / n, gamma) / 11.0
-    factor = _THM2_COEFF * alpha0 / gamma
+    applicable, factor = _thm2_rate(alpha0, gamma, n)
     return applicable, factor**ell * alpha0
+
+
+def _thm2_rate(alpha0: float, gamma: float, n: int) -> tuple[bool, float]:
+    """The certified bound's applicability test and per-sweep factor."""
+    return bool(alpha0 <= min(1.0 / n, gamma) / 11.0), 2.8 * 1.001 * alpha0 / gamma
 
 
 def foa_factor(A, m: int) -> float:
@@ -149,15 +150,11 @@ def foa_factor(A, m: int) -> float:
     the largest eigenvalue originally; reindexing the sort makes any rank m
     admissible.
     """
-    M = as_symmatrix(A)
-    B, _ = sort_by_diagonal(M)
+    B, _ = sort_by_diagonal(as_symmatrix(A))
     g = gap_hat(B, m)
     h = scaled(B).a
     keep = np.arange(h.shape[0]) != (m - 1)
-    block = h[np.ix_(keep, keep)].copy()
-    np.fill_diagonal(block, 0.0)
-    alpha_hat0 = float(np.linalg.norm(block))
-    return alpha_hat0 / (math.sqrt(2.0) * g)
+    return off_norm(h[np.ix_(keep, keep)]) / (math.sqrt(2.0) * g)
 
 
 def sep_bound(a_ii: float, off_row_H: float, gamma: float) -> float:
@@ -207,9 +204,9 @@ def diagnose(A, m: int, values=None, exact: bool = False,
 
     ``values``: optional ascending spectrum for exact-mode gaps; with
     ``exact=True`` and no values given, the classical Jacobi oracle computes
-    them (O(n^3)). Otherwise gamma/gamma_m/rho and the certified bound are
-    left as None. ``history`` (plus optionally ``frob0``) engages rate
-    fitting; an unusable history leaves fitted_rate as None.
+    them up to n = 128 and LAPACK above. Otherwise gamma/gamma_m/rho and the
+    certified bound are left as None. ``history`` (plus optionally ``frob0``)
+    engages rate fitting; an unusable history leaves fitted_rate as None.
     """
     M = as_symmatrix(A)
     a0 = alpha(M)
@@ -217,7 +214,7 @@ def diagnose(A, m: int, values=None, exact: bool = False,
     foa = foa_factor(M, m)
 
     if values is None and exact:
-        values = full_jacobi(M).values
+        values = _exact_values(M)
 
     gamma = gamma_m = rho = rate_bound = None
     applicable: bool | None = None
@@ -227,8 +224,7 @@ def diagnose(A, m: int, values=None, exact: bool = False,
         gamma_m = float(gaps.gamma_j[m - 1])
         rho = a0 / gamma_m if gamma_m > 0.0 else math.inf
         if gamma > 0.0:
-            applicable = bool(a0 <= min(1.0 / M.n, gamma) / 11.0)
-            rate_bound = _THM2_COEFF * a0 / gamma
+            applicable, rate_bound = _thm2_rate(a0, gamma, M.n)
 
     fitted = None
     if history is not None:

@@ -48,7 +48,7 @@ class DegenerateGapHat(InputError):
 
 
 class InsufficientHistory(InputError):
-    """Rate fitting needs at least two usable history rows."""
+    """Rate fitting needs at least three usable history rows."""
 
 
 class NonpositiveValues(InputError):

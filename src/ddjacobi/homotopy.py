@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CollapsedGap, InvalidOptions, StepLimit, TrackerStalled
 from .diagnostics import min_relative_gap
-from .matcore import SymMatrix, as_symmatrix, omega
+from .matcore import SymMatrix, as_symmatrix, frob_norm, omega
 from .solver import SolveOptions, SolveStatus, solve_many
 
 __all__ = ["GAP_FLOOR", "TrackerConfig", "HomotopyStep", "HomotopyPath",
@@ -84,17 +84,12 @@ def step_length(gamma_hat: float, omega_frob: float, c: float, t: float) -> floa
 
 
 def _orthonormalize(u: np.ndarray) -> np.ndarray:
-    """One modified Gram-Schmidt pass over the columns, in place."""
-    n = u.shape[1]
-    for j in range(n):
-        col = u[:, j]
-        for i in range(j):
-            col -= (u[:, i] @ col) * u[:, i]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:  # pragma: no cover - only on rank collapse
-            raise CollapsedGap("eigenvector columns became linearly dependent")
-        col /= nrm
-    return u
+    """The Q of u = QR with diag(R) > 0: the Gram-Schmidt basis of u's columns."""
+    q, r = np.linalg.qr(u)
+    d = r.diagonal()
+    if np.any(d == 0.0):  # rank collapse
+        raise CollapsedGap("eigenvector columns became linearly dependent")
+    return q * np.sign(d)
 
 
 def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
@@ -113,7 +108,7 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     M = as_symmatrix(A)
     n = M.n
     om = omega(M).a
-    om_frob = float(np.linalg.norm(om))
+    om_frob = frob_norm(om)
     template = cfg.solve_opts if cfg.solve_opts is not None else SolveOptions(m=1)
     opts = replace(template, want_vector=True, record_history=False)
 
@@ -168,9 +163,7 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
             raise TrackerStalled(t_bad, m_bad, status.value)
 
         t_next, s_eff, halvings, results = accepted
-        u = np.column_stack([r.vector for r in results])
-        _orthonormalize(u)
-        q = q @ u
+        q = q @ _orthonormalize(np.column_stack([r.vector for r in results]))
         sigma = np.array([r.lambda_hat for r in results])
         iters = np.array([r.sweeps_used for r in results])
         all_iters.extend(int(k) for k in iters)

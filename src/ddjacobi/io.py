@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, ParseError, UnsupportedField
+from .diagnostics import alpha
+from .errors import AsymmetricInput, NotSymmetric, ParseError, UnsupportedField
 from .matcore import EPS, SymMatrix
 from .solver import SweepRecord
 from .spectral import PointCloud
@@ -65,6 +66,16 @@ def _parse_int(token: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(lineno, f"bad integer {token!r}") from None
+
+
+def _numerically_symmetric(a: np.ndarray, what: str) -> SymMatrix:
+    """Average away asymmetry up to 4 * eps * max|a_ij|; raise NotSymmetric
+    beyond it."""
+    scale = float(np.abs(a).max())
+    try:
+        return SymMatrix.symmetrized(a, atol=4.0 * EPS * scale)
+    except AsymmetricInput as exc:
+        raise NotSymmetric(f"{what} is not numerically symmetric") from exc
 
 
 def read_matrix_market(path) -> SymMatrix:
@@ -161,13 +172,7 @@ def read_matrix_market(path) -> SymMatrix:
                 a[j, i] = val
 
     if symkind == "general":
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        try:
-            return SymMatrix.symmetrized(a, atol=4.0 * EPS * scale)
-        except Exception as exc:
-            raise NotSymmetric(
-                "general file is not numerically symmetric"
-            ) from exc
+        return _numerically_symmetric(a, "general file")
     return SymMatrix(a)
 
 
@@ -200,11 +205,7 @@ def read_matrix(path) -> SymMatrix:
         )
         if a.shape[0] != a.shape[1]:
             raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        try:
-            return SymMatrix.symmetrized(a, atol=4.0 * EPS * scale)
-        except Exception as exc:
-            raise NotSymmetric("matrix CSV is not numerically symmetric") from exc
+        return _numerically_symmetric(a, "matrix CSV")
     return read_matrix_market(path)
 
 
@@ -331,8 +332,6 @@ def gen_random_dd(n: int, alpha_target: float, seed: int) -> SymMatrix:
     upper = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
     off = upper + upper.T
     d = np.arange(1.0, n + 1.0)
-    dh = 1.0 / np.sqrt(d)
-    alpha_raw = float(np.linalg.norm(off * np.outer(dh, dh)))
-    a = off * (alpha_target / alpha_raw)
+    a = off * (alpha_target / alpha(off + np.diag(d)))
     np.fill_diagonal(a, d)
     return SymMatrix(a)

@@ -34,6 +34,16 @@ __all__ = [
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _square_finite(entries) -> np.ndarray:
+    """A float64 copy of ``entries``, checked to be a finite square matrix."""
+    a = np.array(entries, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 class SymMatrix:
     """A real symmetric matrix with bit-identical triangles.
 
@@ -44,11 +54,7 @@ class SymMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
+        a = _square_finite(entries)
         if not np.array_equal(a, a.T):
             raise AsymmetricInput(
                 "entries are not exactly symmetric; use SymMatrix.symmetrized"
@@ -69,14 +75,10 @@ class SymMatrix:
         Asymmetry up to ``atol`` (default ``4*eps*frob``) is averaged away
         exactly; anything larger raises :class:`AsymmetricInput`.
         """
-        a = np.array(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        gap = float(np.abs(a - a.T).max()) if a.size else 0.0
+        a = _square_finite(entries)
+        gap = float(np.abs(a - a.T).max())
         if atol is None:
-            atol = 4.0 * EPS * float(np.linalg.norm(a))
+            atol = 4.0 * EPS * frob_norm(a)
         if gap > atol:
             raise AsymmetricInput(
                 f"max asymmetry {gap:.3e} exceeds allowance {atol:.3e}"
@@ -117,8 +119,7 @@ class ScaledView(SymMatrix):
     __slots__ = ("scale",)
 
     def copy(self) -> "ScaledView":
-        view = object.__new__(ScaledView)
-        view.a = self.a.copy()
+        view = ScaledView._wrap(self.a.copy())
         view.scale = self.scale.copy()
         return view
 
@@ -140,10 +141,7 @@ def off_norm(A) -> float:
     Computed on an explicit zero-diagonal copy; the shortcut
     sqrt(frob^2 - sum a_ii^2) cancels catastrophically near convergence.
     """
-    a = _entries(A)
-    om = a.copy()
-    np.fill_diagonal(om, 0.0)
-    return float(np.linalg.norm(om))
+    return frob_norm(omega(A))
 
 
 def off_row(A, i: int) -> float:
@@ -182,8 +180,7 @@ def scaled(A) -> ScaledView:
     dh = 1.0 / np.sqrt(np.abs(d))
     h = a * np.outer(dh, dh)
     np.fill_diagonal(h, np.sign(d))
-    view = object.__new__(ScaledView)
-    view.a = h
+    view = ScaledView._wrap(h)
     view.scale = dh
     return view
 

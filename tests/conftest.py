@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
+import ddjacobi.reference as reference
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Make the Jacobi oracle raise, so a passing test shows LAPACK ran."""
+    def oracle(*args, **kwargs):
+        raise AssertionError("the Jacobi oracle ran above the LAPACK cutoff")
+
+    monkeypatch.setattr(reference, "full_jacobi", oracle)
 
 
 def rand_sym(rng, n, scale=1.0):

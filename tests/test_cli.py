@@ -52,6 +52,20 @@ class TestEig:
         assert rows[-1].err_vs_ref < 1e-8
         capsys.readouterr()
 
+    def test_reference_errors_above_the_oracle_cutoff(self, tmp_path,
+                                                       no_oracle, capsys):
+        p, hist = tmp_path / "big.mtx", tmp_path / "h.csv"
+        A = dio.gen_random_dd(130, 0.005, seed=5)
+        dio.write_matrix_market(p, A)
+        code = main(["eig", "--input", str(p), "--m", "40", "--ref",
+                     "--history", str(hist)])
+        assert code == 0
+        lam = np.linalg.eigvalsh(A.a)[39]
+        rows = dio.read_history_csv(hist)
+        assert [r.err_vs_ref for r in rows] == [abs(r.a_mm - lam) for r in rows]
+        assert rows[-1].err_vs_ref < 1e-8
+        capsys.readouterr()
+
     def test_tolerance_floor_exit(self, dom_mtx, capsys):
         code = main(["eig", "--input", str(dom_mtx), "--m", "2",
                      "--tol", "10.0", "--stop-rel", "0"])

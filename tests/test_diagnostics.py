@@ -15,6 +15,7 @@ from ddjacobi import (
     diagnose,
     fit_rate,
     foa_factor,
+    full_jacobi,
     gap_hat,
     min_relative_gap,
     rel,
@@ -224,3 +225,15 @@ class TestDiagnose:
         A = dio.gen_example1()
         rep = diagnose(A, 6, history=[])
         assert rep.fitted_rate is None
+
+    def test_exact_mode_is_the_oracle_spectrum_up_to_order_128(self):
+        A = dio.gen_example1()
+        assert diagnose(A, 6, exact=True) == diagnose(
+            A, 6, values=full_jacobi(A).values)
+
+    def test_exact_mode_uses_lapack_above_order_128(self, no_oracle):
+        A = dio.gen_random_dd(130, 0.005, seed=1)
+        rep = diagnose(A, 65, exact=True)
+        gaps = min_relative_gap(np.linalg.eigvalsh(A.a))
+        assert rep.gamma == gaps.gamma
+        assert rep.gamma_m == float(gaps.gamma_j[64])

@@ -186,3 +186,17 @@ def test_step_constant_checked_up_front(c):
         track(np.array([[4.2]]), TrackerConfig(c=c))
     with pytest.raises(InvalidOptions):
         track(dio.gen_random_dd(4, 0.1, seed=0), TrackerConfig(c=c))
+
+
+def test_orthonormalize_is_the_gram_schmidt_basis(rng):
+    u = rng.standard_normal((9, 9))
+    q = homotopy._orthonormalize(u)
+    r = q.T @ u
+    assert np.allclose(q.T @ q, np.eye(9), atol=1e-14)
+    assert np.allclose(np.tril(r, -1), 0.0, atol=1e-13)
+    assert np.all(r.diagonal() > 0.0)
+
+
+def test_orthonormalize_rejects_dependent_columns():
+    with pytest.raises(CollapsedGap):
+        homotopy._orthonormalize(np.array([[1.0, 1.0], [0.0, 0.0]]))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import ddjacobi.io as dio
 from ddjacobi import NoConvergence, full_jacobi
+from ddjacobi.reference import _exact_values
 from conftest import rand_sym
 
 
@@ -62,3 +64,14 @@ def test_small_threshold_still_converges(rng):
     a = rand_sym(rng, 8)
     dec = full_jacobi(a, threshold=1e-9)
     assert np.allclose(dec.values, np.linalg.eigvalsh(a), atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [11, 128])
+def test_exact_values_are_the_oracle_up_to_order_128(n):
+    A = dio.gen_random_dd(n, 0.005, seed=n)
+    assert np.array_equal(_exact_values(A), full_jacobi(A).values)
+
+
+def test_exact_values_come_from_lapack_above_order_128(no_oracle):
+    A = dio.gen_random_dd(130, 0.005, seed=2)
+    assert np.array_equal(_exact_values(A), np.linalg.eigvalsh(A.a))

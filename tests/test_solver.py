@@ -11,10 +11,14 @@ from ddjacobi import (
     SolveStatus,
     SymMatrix,
     VectorNotAccumulated,
+    ZeroDiagonal,
+    alpha,
     as_symmatrix,
     eigenvector,
     full_jacobi,
+    off_norm,
     off_row,
+    scaled,
     solve,
     solve_many,
     sweep,
@@ -256,6 +260,37 @@ def test_history_scaled_fields_none_on_zero_diagonal():
     res = solve(a, SolveOptions(m=2, max_sweeps=2))
     assert res.history[0].alpha is None
     assert res.history[0].off_row_h is None
+
+
+@pytest.mark.parametrize("make, m", [
+    (lambda: dio.gen_random_dd(12, 0.3, seed=4), 5),
+    (lambda: dio.gen_diag_rank1(20), 10),
+    (dio.gen_example1, 6),
+])
+def test_sweep_record_fields_are_the_public_quantities(make, m):
+    A0 = make()
+    A = Permutation(np.random.default_rng(m).permutation(A0.n)).apply(A0)
+    res = solve(A, SolveOptions(m=m))
+    B = res.permutation.apply(A)
+    rec = res.history[0]
+    assert rec.off_row_m == off_row(B, m - 1)
+    assert rec.off_total == off_norm(B)
+    assert rec.alpha == alpha(B)
+    assert rec.off_row_h == off_row(scaled(B), m - 1)
+
+
+def test_sweep_record_fields_on_a_zero_diagonal():
+    A = np.array([[0.0, 0.5, 0.1],
+                  [0.5, 2.0, 0.2],
+                  [0.1, 0.2, 3.0]])
+    res = solve(A, SolveOptions(m=2))
+    B = res.permutation.apply(A)
+    rec = res.history[0]
+    assert rec.off_row_m == off_row(B, 1)
+    assert rec.off_total == off_norm(B)
+    assert rec.alpha is None and rec.off_row_h is None
+    with pytest.raises(ZeroDiagonal):
+        scaled(B)
 
 
 def test_single_entry_matrix():
