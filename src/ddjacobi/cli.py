@@ -66,10 +66,6 @@ def _emit(key: str, value) -> None:
     print(f"{key}={value}")
 
 
-def _vec_csv(v) -> str:
-    return ",".join(repr(float(x)) for x in v)
-
-
 def _check_rank(m: int, n: int | None = None) -> None:
     if m < 1:
         raise _UsageError(f"--m must be at least 1, got {m}")
@@ -89,7 +85,7 @@ def cmd_eig(args) -> int:
     _emit("status", res.status.value)
     _emit("sweeps", res.sweeps_used)
     if args.vector:
-        _emit("vector", _vec_csv(res.vector))
+        _emit("vector", dio._csv_row(res.vector))
     if args.history:
         rows = [dio.HistoryRow.from_record(
                     rec, None if lam is None else abs(rec.a_mm - lam))
@@ -101,12 +97,9 @@ def cmd_eig(args) -> int:
 def cmd_full(args) -> int:
     A = dio.read_matrix(args.input)
     dec = full_jacobi(A)
-    _emit("values", _vec_csv(dec.values))
+    _emit("values", dio._csv_row(dec.values))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("index,value\n")
-            for i, v in enumerate(dec.values, start=1):
-                fh.write(f"{i},{float(v)!r}\n")
+        dio._write_csv(args.out, "index,value", enumerate(dec.values, start=1))
     return int(ExitCode.OK)
 
 
@@ -127,10 +120,8 @@ def cmd_cluster(args) -> int:
         _emit("gamma", gaps.gamma)
         _emit("gamma_m", float(gaps.gamma_j[1]))
     if args.labels:
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            fh.write("index,label,fiedler_entry\n")
-            for i, (lab, f) in enumerate(zip(res.labels, res.fiedler), start=1):
-                fh.write(f"{i},{int(lab)},{float(f)!r}\n")
+        dio._write_csv(args.labels, "index,label,fiedler_entry",
+                       zip(range(1, res.labels.size + 1), res.labels, res.fiedler))
     if args.history:
         dio.write_history_csv(
             args.history, [dio.HistoryRow.from_record(r) for r in res.history])
@@ -145,33 +136,25 @@ def cmd_track(args) -> int:
     _emit("steps", path.total_steps)
     _emit("avg_iters", path.avg_iters)
     if args.path:
-        n = A.n
-        with open(args.path, "w", encoding="utf-8") as fh:
-            sig = ",".join(f"sigma_{i}" for i in range(1, n + 1))
-            fh.write(f"t,s,gamma_hat,avg_iters,{sig}\n")
-            for st in path.steps:
-                cells = [repr(float(st.t)), repr(float(st.s)),
-                         repr(float(st.gamma_hat)),
-                         repr(float(np.mean(st.iters_per_eig)))]
-                cells += [repr(float(x)) for x in st.sigma]
-                fh.write(",".join(cells) + "\n")
+        sig = ",".join(f"sigma_{i}" for i in range(1, A.n + 1))
+        dio._write_csv(args.path, f"t,s,gamma_hat,avg_iters,{sig}",
+                       ([st.t, st.s, st.gamma_hat, np.mean(st.iters_per_eig),
+                         *st.sigma] for st in path.steps))
     return int(ExitCode.OK)
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "example1":
-        A = dio.gen_example1()
-    elif args.kind == "drk1":
-        if args.n is None:
-            raise _UsageError("--kind drk1 needs --n")
-        A = dio.gen_diag_rank1(args.n)
-    else:
-        if args.n is None:
-            raise _UsageError("--kind random-dd needs --n")
-        try:
+    if args.kind != "example1" and args.n is None:
+        raise _UsageError(f"--kind {args.kind} needs --n")
+    try:
+        if args.kind == "example1":
+            A = dio.gen_example1()
+        elif args.kind == "drk1":
+            A = dio.gen_diag_rank1(args.n)
+        else:
             A = dio.gen_random_dd(args.n, args.alpha, args.seed)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     dio.write_matrix_market(args.out, A)
     _emit("n", A.n)
     _emit("out", args.out)

@@ -103,8 +103,7 @@ def gap_hat(A, m: int) -> float:
     ascending convention. Raises DegenerateGapHat when some a_pp equals a_mm
     (or n == 1), ZeroDiagonal when a division is impossible.
     """
-    B, _ = sort_by_diagonal(as_symmatrix(A))
-    d = B.a.diagonal()
+    d = np.sort(as_symmatrix(A).a.diagonal(), kind="stable")
     n = d.size
     if not 1 <= m <= n:
         raise IndexError(f"rank {m} out of range for order {n}")

@@ -126,11 +126,11 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
         return path
 
     t = 0.0
+    gh = min_relative_gap(sigma).gamma
     all_iters: list[int] = []
     while t < 1.0:
         if len(path.steps) >= cfg.max_steps:
             raise StepLimit(f"no arrival at t = 1 within {cfg.max_steps} steps")
-        gh = min_relative_gap(sigma).gamma
         s = step_length(gh, om_frob, cfg.c, t)
         # Rotate A(t) into the tracked basis once per step. Writing the
         # target as Q^T A(t_next) Q (= Sigma + s Q^T Omega Q when the
@@ -141,28 +141,21 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
         mixed = 0.5 * (mixed + mixed.T)
         base = 0.5 * (base + base.T)
 
-        accepted = None
-        last_bad: tuple[float, int, SolveStatus] | None = None
         for halvings in range(_MAX_HALVINGS + 1):
             t_next = t + s
             if t_next > 1.0 - 1e-12:
                 t_next = 1.0
-            s_eff = t_next - t
             B = SymMatrix._wrap(base + t_next * mixed)
 
             results = solve_many(B, range(1, n + 1), opts)
             bad = next((m for m, r in enumerate(results, 1)
                         if r.status is not SolveStatus.CONVERGED), None)
             if bad is None:
-                accepted = (t_next, s_eff, halvings, results)
                 break
-            last_bad = (t_next, bad, results[bad - 1].status)
             s *= 0.5
-        if accepted is None:
-            t_bad, m_bad, status = last_bad
-            raise TrackerStalled(t_bad, m_bad, status.value)
+        else:
+            raise TrackerStalled(t_next, bad, results[bad - 1].status.value)
 
-        t_next, s_eff, halvings, results = accepted
         q = q @ _orthonormalize(np.column_stack([r.vector for r in results]))
         sigma = np.array([r.lambda_hat for r in results])
         iters = np.array([r.sweeps_used for r in results])
@@ -170,10 +163,10 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
 
         defect = float(np.linalg.norm(q.T @ q - np.eye(n)))
         path.max_orth_defect = max(path.max_orth_defect, defect)
-        gh_arrival = min_relative_gap(sigma).gamma
+        gh = min_relative_gap(sigma).gamma
         path.steps.append(HomotopyStep(
-            t=t_next, s=s_eff, sigma=sigma.copy(),
-            gamma_hat=gh_arrival, iters_per_eig=iters, halvings=halvings))
+            t=t_next, s=t_next - t, sigma=sigma.copy(),
+            gamma_hat=gh, iters_per_eig=iters, halvings=halvings))
         t = t_next
 
     path.final_q = q

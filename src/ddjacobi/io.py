@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .diagnostics import alpha
 from .errors import AsymmetricInput, NotSymmetric, ParseError, UnsupportedField
-from .matcore import EPS, SymMatrix
+from .matcore import SymMatrix
 from .solver import SweepRecord
 from .spectral import PointCloud
 
@@ -34,7 +34,8 @@ HISTORY_HEADER = "sweep,off_row_m,off_total,a_mm,alpha,err_vs_ref"
 
 @dataclass
 class HistoryRow:
-    """One line of the history CSV; optional cells serialize as empty."""
+    """One line of the history CSV, fields in column order; optional cells
+    serialize as empty."""
 
     sweep: int
     off_row_m: float
@@ -69,11 +70,9 @@ def _parse_int(token: str, lineno: int) -> int:
 
 
 def _numerically_symmetric(a: np.ndarray, what: str) -> SymMatrix:
-    """Average away asymmetry up to 4 * eps * max|a_ij|; raise NotSymmetric
-    beyond it."""
-    scale = float(np.abs(a).max())
+    """:meth:`SymMatrix.symmetrized`, reporting asymmetry as NotSymmetric."""
     try:
-        return SymMatrix.symmetrized(a, atol=4.0 * EPS * scale)
+        return SymMatrix.symmetrized(a)
     except AsymmetricInput as exc:
         raise NotSymmetric(f"{what} is not numerically symmetric") from exc
 
@@ -154,22 +153,18 @@ def read_matrix_market(path) -> SymMatrix:
             if symkind == "symmetric":
                 a[j - 1, i - 1] = val
     else:
-        vals = []
-        for no, ln in entries:
-            for tok in ln.split():
-                vals.append((no, tok))
+        toks = [(no, tok) for no, ln in entries for tok in ln.split()]
+        want = n * (n + 1) // 2 if symkind == "symmetric" else n * n
+        if len(toks) != want:
+            raise ParseError(size_no, f"expected {want} values, found {len(toks)}")
+        vals = [_parse_float(tok, no) for no, tok in toks]
         if symkind == "symmetric":
-            coords = [(i, j) for j in range(n) for i in range(j, n)]
+            # The column-major lower triangle is the row-major upper one.
+            upper = np.triu_indices(n)
+            a[upper] = vals
+            a.T[upper] = vals
         else:
-            coords = [(i, j) for j in range(n) for i in range(n)]
-        if len(vals) != len(coords):
-            raise ParseError(size_no,
-                             f"expected {len(coords)} values, found {len(vals)}")
-        for (i, j), (no, tok) in zip(coords, vals):
-            val = _parse_float(tok, no)
-            a[i, j] = val
-            if symkind == "symmetric":
-                a[j, i] = val
+            a[:] = np.reshape(vals, (n, n)).T
 
     if symkind == "general":
         return _numerically_symmetric(a, "general file")
@@ -193,16 +188,7 @@ def write_matrix_market(path, A) -> None:
 def read_matrix(path) -> SymMatrix:
     """Dispatch on extension: .csv reads a dense square grid, else Matrix Market."""
     if str(path).lower().endswith(".csv"):
-        rows = _read_csv_rows(path)
-        if not rows:
-            raise ParseError(1, "no data rows")
-        width = len(rows[0][1])
-        for no, cells in rows:
-            if len(cells) != width:
-                raise ParseError(no, f"expected {width} columns, got {len(cells)}")
-        a = np.asarray(
-            [[_parse_float(cell, no) for cell in cells] for no, cells in rows]
-        )
+        a = _read_grid(_read_csv_rows(path))
         if a.shape[0] != a.shape[1]:
             raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
         return _numerically_symmetric(a, "matrix CSV")
@@ -214,56 +200,61 @@ def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for no, cells in enumerate(csv.reader(fh), start=1):
             cells = [c.strip() for c in cells]
-            if not cells or all(c == "" for c in cells):
-                continue
-            out.append((no, cells))
+            if any(cells):
+                out.append((no, cells))
     return out
+
+
+def _read_grid(rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """Parse numbered CSV rows into a float array. Each row's width is
+    checked before its cells, so errors name the first offending row."""
+    if not rows:
+        raise ParseError(1, "no data rows")
+    width = len(rows[0][1])
+    grid = []
+    for no, cells in rows:
+        if len(cells) != width:
+            raise ParseError(no, f"expected {width} columns, got {len(cells)}")
+        grid.append([_parse_float(c, no) for c in cells])
+    return np.asarray(grid)
 
 
 def read_points_csv(path) -> PointCloud:
     """n x d numeric CSV, optional single header row (auto-detected)."""
     rows = _read_csv_rows(path)
-    if not rows:
-        raise ParseError(1, "no data rows")
-
-    def numeric(cells: list[str]) -> bool:
-        try:
-            for c in cells:
-                float(c)
-        except ValueError:
-            return False
-        return True
-
-    if not numeric(rows[0][1]):
-        rows = rows[1:]  # header row
-    if not rows:
-        raise ParseError(1, "no data rows after the header")
-    width = len(rows[0][1])
-    pts = []
-    for no, cells in rows:
-        if len(cells) != width:
-            raise ParseError(no, f"expected {width} columns, got {len(cells)}")
-        pts.append([_parse_float(c, no) for c in cells])
-    return PointCloud(np.asarray(pts))
+    try:
+        list(map(float, rows[0][1] if rows else []))
+    except ValueError:  # a non-numeric first row is the header
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(1, "no data rows after the header") from None
+    return PointCloud(_read_grid(rows))
 
 
-def _fmt_opt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
+def _cell(x) -> str:
+    """One CSV cell: None empty, integers as digits, reals round-trip."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _csv_row(cells) -> str:
+    return ",".join(map(_cell, cells))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row of cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(_csv_row(row) + "\n")
 
 
 def write_history_csv(path, rows) -> None:
     """Emit HistoryRows under the fixed header (bit-exact column names)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HISTORY_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([
-                str(r.sweep),
-                repr(float(r.off_row_m)),
-                repr(float(r.off_total)),
-                repr(float(r.a_mm)),
-                _fmt_opt(r.alpha),
-                _fmt_opt(r.err_vs_ref),
-            ]) + "\n")
+    _write_csv(path, HISTORY_HEADER, map(astuple, rows))
 
 
 def read_history_csv(path) -> list[HistoryRow]:

@@ -72,13 +72,15 @@ class SymMatrix:
     def symmetrized(cls, entries, atol: float | None = None) -> "SymMatrix":
         """Build from nearly symmetric data.
 
-        Asymmetry up to ``atol`` (default ``4*eps*frob``) is averaged away
-        exactly; anything larger raises :class:`AsymmetricInput`.
+        The package's one numerical-symmetry rule, for arrays and files
+        alike: asymmetry max|a_ij - a_ji| up to ``atol`` (default
+        ``4*eps*max|a_ij|``) is averaged away exactly; anything larger raises
+        :class:`AsymmetricInput`.
         """
         a = _square_finite(entries)
         gap = float(np.abs(a - a.T).max())
         if atol is None:
-            atol = 4.0 * EPS * frob_norm(a)
+            atol = 4.0 * EPS * float(np.abs(a).max())
         if gap > atol:
             raise AsymmetricInput(
                 f"max asymmetry {gap:.3e} exceeds allowance {atol:.3e}"
@@ -124,11 +126,11 @@ class ScaledView(SymMatrix):
         return view
 
 
-def as_symmatrix(m, atol: float | None = None) -> SymMatrix:
+def as_symmatrix(m) -> SymMatrix:
     """Coerce an array-like into a :class:`SymMatrix` (tolerant path)."""
     if isinstance(m, SymMatrix):
         return m
-    return SymMatrix.symmetrized(m, atol=atol)
+    return SymMatrix.symmetrized(m)
 
 
 def _entries(m) -> np.ndarray:

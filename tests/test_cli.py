@@ -123,6 +123,14 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "o")]) == 64
         capsys.readouterr()
 
+    def test_gen_bad_n_is_a_usage_error(self, tmp_path, capsys):
+        for kind in ("drk1", "random-dd"):
+            out = tmp_path / f"{kind}.mtx"
+            assert main(["gen", "--kind", kind, "--n", "1",
+                         "--out", str(out)]) == ExitCode.USAGE
+            assert not out.exists()
+        capsys.readouterr()
+
     def test_gen_bad_alpha(self, tmp_path, capsys):
         assert main(["gen", "--kind", "random-dd", "--n", "5", "--alpha", "1.5",
                      "--out", str(tmp_path / "o")]) == 64

@@ -3,11 +3,13 @@ import pytest
 
 import ddjacobi.io as dio
 from ddjacobi import (
+    AsymmetricInput,
     NotSymmetric,
     ParseError,
     SweepRecord,
     SymMatrix,
     UnsupportedField,
+    as_symmatrix,
 )
 
 
@@ -100,6 +102,33 @@ class TestReadMatrixMarket:
                            [0.25, 2.0, -1.0],
                            [0.5, -1.0, 3.0]])
         assert np.array_equal(A.to_array(), expect)
+
+    def test_array_bodies_place_every_value(self, tmp_path):
+        # Order 4, values 1..10 down the columns of the lower triangle,
+        # spread unevenly over the lines and mixed with a comment.
+        p = put(tmp_path, "s.mtx", "\n".join([
+            "%%MatrixMarket matrix array real symmetric",
+            "4 4",
+            "1 2 3",
+            "% comment",
+            "4",
+            "5 6 7 8",
+            "9",
+            "-10",
+        ]) + "\n")
+        sym = np.array([[1.0, 2.0, 3.0, 4.0],
+                        [2.0, 5.0, 6.0, 7.0],
+                        [3.0, 6.0, 8.0, 9.0],
+                        [4.0, 7.0, 9.0, -10.0]])
+        A = dio.read_matrix_market(p)
+        assert np.array_equal(A.to_array(), sym)
+        assert A.a.flags.c_contiguous
+        # The same matrix stored in full, column by column.
+        g = put(tmp_path, "g.mtx", "%%MatrixMarket matrix array real general\n4 4\n"
+                + "\n".join(repr(float(x)) for x in sym.T.ravel()) + "\n")
+        G = dio.read_matrix_market(g)
+        assert np.array_equal(G.to_array(), sym)
+        assert G.a.flags.c_contiguous
 
     def test_zero_nnz(self, tmp_path):
         p = put(tmp_path, "a.mtx",
@@ -231,6 +260,17 @@ class TestMatrixMarketErrors:
         with pytest.raises(ParseError):
             dio.read_matrix_market(p)
 
+    def test_array_bad_value_reports_its_line(self, tmp_path):
+        p = put(tmp_path, "a.mtx", "\n".join([
+            "%%MatrixMarket matrix array real general",
+            "2 2",
+            "1.0 3.0",
+            "3.0 x",
+        ]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            dio.read_matrix_market(p)
+        assert exc.value.line == 4
+
     def test_general_asymmetric_rejected(self, tmp_path):
         p = put(tmp_path, "a.mtx", "\n".join([
             "%%MatrixMarket matrix coordinate real general",
@@ -315,6 +355,26 @@ class TestReadMatrixCsv:
         with pytest.raises(ParseError):
             dio.read_matrix(p)
 
+    def test_first_offending_row_is_reported(self, tmp_path):
+        # A bad cell on line 2 comes before a ragged row on line 3.
+        p = put(tmp_path, "m.csv", "1.0,0.5,0.0\n0.5,x,0.0\n0.0,0.0\n")
+        with pytest.raises(ParseError) as exc:
+            dio.read_matrix(p)
+        assert exc.value.line == 2
+
+    def test_same_symmetry_rule_as_arrays(self, tmp_path):
+        # Asymmetry 5e-15 lies above 4*eps*max|a_ij| (~9e-16) but below
+        # 4*eps*||A||_F (~9e-15): arrays and files must both reject it.
+        a = np.full((100, 100), 0.01)
+        np.fill_diagonal(a, 1.01)
+        a[0, 1] += 5e-15
+        with pytest.raises(AsymmetricInput):
+            as_symmatrix(a)
+        p = put(tmp_path, "m.csv",
+                "\n".join(",".join(repr(float(x)) for x in row) for row in a))
+        with pytest.raises(NotSymmetric):
+            dio.read_matrix(p)
+
     def test_non_csv_extension_goes_to_matrix_market(self, tmp_path):
         p = put(tmp_path, "m.txt",
                 "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 5.0\n")
@@ -351,6 +411,12 @@ class TestReadPointsCsv:
 
     def test_bad_value_mid_file(self, tmp_path):
         p = put(tmp_path, "pts.csv", "0.0,1.0\n2.0,oops\n")
+        with pytest.raises(ParseError) as exc:
+            dio.read_points_csv(p)
+        assert exc.value.line == 2
+
+    def test_first_offending_row_is_reported(self, tmp_path):
+        p = put(tmp_path, "pts.csv", "0.0,1.0\n2.0,oops\n3.0\n")
         with pytest.raises(ParseError) as exc:
             dio.read_points_csv(p)
         assert exc.value.line == 2
