@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import astuple, dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -30,6 +32,8 @@ __all__ = ["HistoryRow", "read_matrix_market", "write_matrix_market",
            "gen_random_dd"]
 
 HISTORY_HEADER = "sweep,off_row_m,off_total,a_mm,alpha,err_vs_ref"
+_BLOCK = 4096  # body lines tokenized at once, bounding the live token lists
+_SKIPPED = {"", "%"}.__contains__  # first character of a blank or % line
 
 
 @dataclass
@@ -77,6 +81,135 @@ def _numerically_symmetric(a: np.ndarray, what: str) -> SymMatrix:
         raise NotSymmetric(f"{what} is not numerically symmetric") from exc
 
 
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True in ``bad``, or its length if there is none."""
+    return int(bad.argmax()) if bad.any() else bad.size
+
+
+class _Earliest:
+    """The earliest failing row of a block, found one check at a time.
+
+    Each check looks only at the rows before ``stop``, all of which passed
+    every earlier check, so the line and message kept are those at which a
+    row-by-row reader would have stopped. ``nos[k]`` is row k's line.
+    """
+
+    def __init__(self, nos: np.ndarray):
+        self.nos, self.stop, self.error = nos, len(nos), None
+
+    def cut(self, k: int, message) -> None:
+        """Row ``k`` fails; ``message(k)`` builds the text if it is the earliest."""
+        if k < self.stop:
+            self.stop, self.error = k, ParseError(int(self.nos[k]), message(k))
+
+    def fail(self, bad: np.ndarray, message) -> None:
+        """Rows marked in ``bad`` fail."""
+        self.cut(_first(bad[:self.stop]), message)
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _convert(conv, toks) -> tuple[list, int]:
+    """``conv`` over ``toks``: the values before the first token it rejects
+    with ValueError, and that token's index (``len(toks)`` if none)."""
+    try:
+        return list(map(conv, toks)), len(toks)
+    except ValueError:
+        vals = []
+        for tok in toks:
+            try:
+                vals.append(conv(tok))
+            except ValueError:
+                break
+        return vals, len(vals)
+
+
+def _floats(toks, nos) -> np.ndarray:
+    """Python's ``float`` of every token; the first that is no number or not
+    finite raises a ParseError on its line, ``nos[k]``."""
+    vals, k = _convert(float, toks)
+    check = _Earliest(nos)
+    check.cut(k, lambda k: f"bad number {toks[k]!r}")
+    vals = np.array(vals, dtype=np.float64)
+    check.fail(~np.isfinite(vals), lambda k: f"non-finite value {toks[k]!r}")
+    check.raise_first()
+    return vals
+
+
+def _indices(toks, check: _Earliest) -> np.ndarray:
+    """Python's ``int`` of every token before ``check.stop`` as int64; the
+    first token it rejects fails. Values beyond int64 read as 0, which is out
+    of range like them."""
+    vals, k = _convert(int, toks[:check.stop])
+    check.cut(k, lambda k: f"bad integer {toks[k]!r}")
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -2**63 <= v < 2**63 else 0 for v in vals],
+                        dtype=np.int64)
+
+
+def _widths(lens: np.ndarray, nos, width: int, unit: str) -> _Earliest:
+    """A check over rows of ``lens`` tokens whose first failure is the first
+    row that does not hold ``width`` of them."""
+    check = _Earliest(nos)
+    check.fail(lens != width, lambda k: f"expected {width} {unit}, got {lens[k]}")
+    return check
+
+
+def _blocks(lines: list, nos: np.ndarray, width):
+    """Split body lines into token columns, ``_BLOCK`` lines at a time.
+
+    With a ``width`` every line is one row of that many fields, and a line of
+    another width is the check's first failure; with None (array bodies)
+    every token is a row of its own. Yields ``(columns, check)``, where
+    ``check.nos`` holds each row's line. Each block is split once more as one
+    string, so no list per line outlives its count.
+    """
+    for s in range(0, len(lines), _BLOCK):
+        block, block_nos = lines[s:s + _BLOCK], nos[s:s + _BLOCK]
+        lens = np.fromiter(map(len, map(str.split, block)), np.intp, len(block))
+        if width is None:
+            yield [" ".join(block).split()], _Earliest(np.repeat(block_nos, lens))
+        else:
+            check = _widths(lens, block_nos, width, "fields")
+            toks = " ".join(block[:check.stop]).split()
+            yield [toks[c::width] for c in range(width)], check
+
+
+def _place_entries(a: np.ndarray, seen: np.ndarray, cols: list,
+                   check: _Earliest, symmetric: bool) -> None:
+    """Check a block of coordinate entries in the order a row-by-row reader
+    would (integers, range, triangle, duplicates, values) and place them.
+    ``seen`` flags the linear indices placed by earlier blocks."""
+    n = a.shape[0]
+    ti, tj = cols[0], cols[1]
+    i = _indices(ti, check)
+    j = _indices(tj, check)
+    i, j = i[:check.stop], j[:check.stop]
+    check.fail((i < 1) | (i > n) | (j < 1) | (j > n),
+               lambda k: f"index ({int(ti[k])}, {int(tj[k])}) out of range")
+    if symmetric:
+        check.fail(j > i, lambda k: "entry above the diagonal in a symmetric file")
+    i, j = i[:check.stop] - 1, j[:check.stop] - 1
+    key = i * n + j
+    again = np.ones(key.size, dtype=bool)
+    again[np.unique(key, return_index=True)[1]] = False
+    check.fail(seen[key] | again, lambda k: f"duplicate entry ({i[k] + 1}, {j[k] + 1})")
+    stop = check.stop
+    if len(cols) == 2:  # pattern entries carry no value
+        vals = np.ones(stop)
+    else:
+        vals = _floats(cols[2][:stop], check.nos[:stop])
+    check.raise_first()
+    seen[key] = True
+    a[i, j] = vals
+    if symmetric:
+        a[j, i] = vals
+
+
 def read_matrix_market(path) -> SymMatrix:
     """Parse a Matrix Market file into a symmetric matrix.
 
@@ -84,7 +217,8 @@ def read_matrix_market(path) -> SymMatrix:
     or ``pattern`` fields (pattern entries read as 1.0) and ``symmetric`` or
     ``general`` storage. General files must be numerically symmetric within
     4 * eps * max|entry|. Indices are 1-based; symmetric coordinate files
-    store the lower triangle.
+    store the lower triangle. The body is converted in bulk with Python's
+    ``int`` and ``float``; an error names the first offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -105,14 +239,18 @@ def read_matrix_market(path) -> SymMatrix:
     if fmt == "array" and fieldkind == "pattern":
         raise ParseError(1, "array format cannot carry a pattern field")
 
-    # Body lines with 1-based numbering; % comments and blanks skipped.
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    body = [(no, ln) for no, ln in body[1:] if ln and not ln.startswith("%")]
+    # Body lines and their 1-based numbers: blank and % lines (the banner
+    # among them) are dropped by their first character.
+    text = list(map(str.lstrip, lines))
+    keep = list(map(operator.not_, map(
+        _SKIPPED, map(operator.itemgetter(slice(1)), text))))
+    body = list(compress(text, keep))
     if not body:
         raise ParseError(len(lines), "missing size line")
+    nos = np.flatnonzero(keep) + 1
 
-    size_no, size_line = body[0]
-    toks = size_line.split()
+    size_no = int(nos[0])
+    toks = body[0].split()
     if fmt == "coordinate":
         if len(toks) != 3:
             raise ParseError(size_no, "coordinate size line needs 'rows cols nnz'")
@@ -121,43 +259,33 @@ def read_matrix_market(path) -> SymMatrix:
         if len(toks) != 2:
             raise ParseError(size_no, "array size line needs 'rows cols'")
         nrows, ncols = (_parse_int(t, size_no) for t in toks)
-        nnz = None
     if nrows != ncols:
         raise NotSymmetric(f"matrix is {nrows}x{ncols}, not square")
     if nrows < 1:
         raise ParseError(size_no, "order must be positive")
     n = nrows
-    entries = body[1:]
-    a = np.zeros((n, n))
+    entries, nos = body[1:], nos[1:]
 
     if fmt == "coordinate":
         if len(entries) != nnz:
             raise ParseError(size_no, f"expected {nnz} entries, found {len(entries)}")
-        seen: set[tuple[int, int]] = set()
-        want = 2 if fieldkind == "pattern" else 3
-        for no, ln in entries:
-            toks = ln.split()
-            if len(toks) != want:
-                raise ParseError(no, f"expected {want} fields, got {len(toks)}")
-            i = _parse_int(toks[0], no)
-            j = _parse_int(toks[1], no)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(no, f"index ({i}, {j}) out of range")
-            if symkind == "symmetric" and j > i:
-                raise ParseError(no, "entry above the diagonal in a symmetric file")
-            if (i, j) in seen:
-                raise ParseError(no, f"duplicate entry ({i}, {j})")
-            seen.add((i, j))
-            val = 1.0 if fieldkind == "pattern" else _parse_float(toks[2], no)
-            a[i - 1, j - 1] = val
-            if symkind == "symmetric":
-                a[j - 1, i - 1] = val
     else:
-        toks = [(no, tok) for no, ln in entries for tok in ln.split()]
         want = n * (n + 1) // 2 if symkind == "symmetric" else n * n
-        if len(toks) != want:
-            raise ParseError(size_no, f"expected {want} values, found {len(toks)}")
-        vals = [_parse_float(tok, no) for no, tok in toks]
+        found = sum(map(len, map(str.split, entries)))
+        if found != want:
+            raise ParseError(size_no, f"expected {want} values, found {found}")
+    try:  # only once the file holds as many entries as it declares
+        a = np.zeros((n, n))
+        seen = np.zeros(n * n if fmt == "coordinate" else 0, dtype=bool)
+    except (MemoryError, ValueError):
+        raise ParseError(size_no, f"order {n} is too large to allocate") from None
+
+    if fmt == "coordinate":
+        for cols, check in _blocks(entries, nos, 2 if fieldkind == "pattern" else 3):
+            _place_entries(a, seen, cols, check, symkind == "symmetric")
+    else:
+        vals = np.concatenate([_floats(cols[0], check.nos)
+                               for cols, check in _blocks(entries, nos, None)])
         if symkind == "symmetric":
             # The column-major lower triangle is the row-major upper one.
             upper = np.triu_indices(n)
@@ -176,13 +304,13 @@ def write_matrix_market(path, A) -> None:
     a = A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=np.float64)
     n = a.shape[0]
     rows, cols = np.tril_indices(n)
-    keep = a[rows, cols] != 0.0
-    rows, cols = rows[keep], cols[keep]
+    vals = a[rows, cols]
+    keep = vals != 0.0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{n} {n} {rows.size}\n")
-        for i, j in zip(rows, cols):
-            fh.write(f"{i + 1} {j + 1} {float(a[i, j])!r}\n")
+        fh.write(f"{n} {n} {np.count_nonzero(keep)}\n")
+        fh.write("".join(map("{} {} {!r}\n".format, (rows[keep] + 1).tolist(),
+                             (cols[keep] + 1).tolist(), vals[keep].tolist())))
 
 
 def read_matrix(path) -> SymMatrix:
@@ -210,13 +338,14 @@ def _read_grid(rows: list[tuple[int, list[str]]]) -> np.ndarray:
     checked before its cells, so errors name the first offending row."""
     if not rows:
         raise ParseError(1, "no data rows")
-    width = len(rows[0][1])
-    grid = []
-    for no, cells in rows:
-        if len(cells) != width:
-            raise ParseError(no, f"expected {width} columns, got {len(cells)}")
-        grid.append([_parse_float(c, no) for c in cells])
-    return np.asarray(grid)
+    nos, cells = zip(*rows)
+    width = len(cells[0])
+    check = _widths(np.fromiter(map(len, cells), np.intp, len(cells)),
+                    nos, width, "columns")
+    grid = _floats(list(chain.from_iterable(cells[:check.stop])),
+                   np.repeat(nos[:check.stop], width))
+    check.raise_first()
+    return grid.reshape(check.stop, width)
 
 
 def read_points_csv(path) -> PointCloud:

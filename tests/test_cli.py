@@ -167,6 +167,17 @@ class TestDataErrors:
         assert main(["eig", "--input", str(p), "--m", "1"]) == 65
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        "coordinate real symmetric\n100000000 100000000 5\n1 1 1.0",
+        "coordinate real symmetric\n100000000 100000000 1\n1 1 1.0",
+        "array real symmetric\n100000000 100000000\n1.0",
+    ], ids=["count", "unallocatable", "array-count"])
+    def test_huge_order(self, tmp_path, capsys, body):
+        p = tmp_path / "huge.mtx"
+        p.write_text("%%MatrixMarket matrix " + body + "\n")
+        assert main(["eig", "--input", str(p), "--m", "1"]) == 65
+        assert capsys.readouterr().err.startswith("ParseError: line 2: ")
+
     def test_asymmetric_csv(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1.0,0.5\n0.6,2.0\n")

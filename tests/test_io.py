@@ -196,6 +196,18 @@ class TestMatrixMarketErrors:
         with pytest.raises(ParseError):
             dio.read_matrix_market(p)
 
+    @pytest.mark.parametrize("body,msgpart", [
+        ("coordinate real symmetric\n100000000 100000000 5\n1 1 1.0", "expected 5 entries"),
+        ("coordinate real symmetric\n100000000 100000000 1\n1 1 1.0", "too large to allocate"),
+        ("array real symmetric\n100000000 100000000\n1.0", "values, found 1"),
+    ], ids=["count", "unallocatable", "array-count"])
+    def test_huge_order_fails_on_the_size_line(self, tmp_path, body, msgpart):
+        p = put(tmp_path, "a.mtx", "%%MatrixMarket matrix " + body + "\n")
+        with pytest.raises(ParseError) as exc:
+            dio.read_matrix_market(p)
+        assert exc.value.line == 2
+        assert msgpart in str(exc.value)
+
     def test_nnz_mismatch(self, tmp_path):
         p = put(tmp_path, "a.mtx", "\n".join([
             "%%MatrixMarket matrix coordinate real symmetric",
@@ -225,6 +237,7 @@ class TestMatrixMarketErrors:
         ("1 x 1.0", "integer"),
         ("9 1 1.0", "range"),
         ("0 1 1.0", "range"),
+        ("99999999999999999999 1 1.0", "out of range"),
         ("1 2 1.0", "above the diagonal"),
         ("1 1 nan", "non-finite"),
         ("1 1 inf", "non-finite"),
