@@ -324,12 +324,17 @@ def read_matrix(path) -> SymMatrix:
 
 
 def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """Non-blank records, each numbered by its first physical line (a quoted
+    cell may span lines)."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for no, cells in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        no = 1
+        for cells in reader:
             cells = [c.strip() for c in cells]
             if any(cells):
                 out.append((no, cells))
+            no = reader.line_num + 1
     return out
 
 

@@ -12,6 +12,7 @@ which keeps the diagonal sorted as it converges to the eigenvalues.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidOptions, VectorNotAccumulated
 from .matcore import (EPS, Permutation, SymMatrix, _peak_positive, as_symmatrix,
-                      frob_norm, off_row, omega, sort_by_diagonal)
+                      frob_norm, off_row, sort_by_diagonal)
 from .rotation import _tangent_cs
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -32,6 +33,10 @@ STOP_REL_DEFAULT = math.sqrt(EPS)
 # consecutive sweeps.
 _STAGNATION_SWEEPS = 10
 _STAGNATION_DROP = 1e-3
+
+# Batched plan steps whose logged rotations the eigenvector replay unpacks
+# at a time (into 64 bytes per rotation beyond the 16-byte log).
+_REPLAY_BLOCK = 256
 
 
 class SolveStatus(Enum):
@@ -89,13 +94,16 @@ class EigenpairResult:
     permutation: Permutation | None = None
 
 
-def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None) -> int:
+def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
+          _log: tuple[array, array] | None = None) -> int:
     """One full annihilation cycle through row m. Returns rotations applied.
 
     Expects the sorted-diagonal convention (the caller, normally
     :func:`solve`, has already reordered). Entries that are exactly zero are
     skipped without counting as rotations, whatever ``tol`` is; annihilated
-    pairs are written as exact zeros.
+    pairs are written as exact zeros. ``_log`` is the solver's own rotation
+    log: each applied rotation appends k (~k when the t1 > t2 swap fired)
+    and its tangent t.
     """
     a = A.a if isinstance(A, SymMatrix) else A
     n = a.shape[0]
@@ -125,6 +133,9 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None) -> int:
             w11, w12, w21, w22 = c, s, -s, c
         else:
             w11, w12, w21, w22 = s, c, c, -s
+        if _log is not None:
+            _log[0].append(k if t1 <= t2 else ~k)
+            _log[1].append(t)
         rp, rq = a[p, :], a[q, :]
         np.multiply(rp, w11, out=bp)
         np.multiply(rq, w21, out=tmp)
@@ -156,15 +167,18 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None) -> int:
     return count
 
 
-def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int) -> SweepRecord:
-    # One zero-diagonal copy serves all four norms; scaling it leaves the
-    # diagonal of H at zero and every off-diagonal entry as scaled(a) has it.
-    om = omega(a).a
+def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
+              om: np.ndarray, h: np.ndarray) -> SweepRecord:
+    # One zero-diagonal copy (into the n x n buffer om) serves all four norms;
+    # scaling it into h leaves the diagonal of H at zero and every
+    # off-diagonal entry as scaled(a) has it.
+    np.copyto(om, a)
+    np.fill_diagonal(om, 0.0)
     d = a.diagonal()
     alpha = row_h = None
     if np.all(d != 0.0):
         dh = 1.0 / np.sqrt(np.abs(d))
-        h = om * np.outer(dh, dh)
+        np.multiply(om, np.outer(dh, dh, out=h), out=h)
         alpha, row_h = frob_norm(h), frob_norm(h[m0])
     return SweepRecord(
         sweep=k,
@@ -177,21 +191,97 @@ def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int) -> SweepRecord:
     )
 
 
-def _sweep_many(a: np.ndarray, vt: np.ndarray | None, targets: list[int],
-                ranks: list[int], tol: float) -> list[int]:
+def _replay(x: list[float], m0: int, ks: array, ts: array) -> list[float]:
+    """Apply the rotations :func:`sweep` logged to x, last one first."""
+    for k, t in zip(reversed(ks), reversed(ts)):
+        swapped = k < 0
+        if swapped:
+            k = ~k
+        p, q = (k, m0) if k < m0 else (m0, k)
+        i, j = (q, p) if swapped else (p, q)
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+        xi, xj = x[i], x[j]
+        x[p] = c * xi + s * xj
+        x[q] = c * xj - s * xi
+    return x
+
+
+class _RotationLog:
+    """The rotations one :func:`solve_many` call applied, kept for its vectors.
+
+    Target i's eigenvector is V e_m with V = R_1 R_2 ... R_K, so it is built
+    by applying the target's rotations to e_m, last one first: O(1) per
+    rotation and no n x n V. R maps (x_p, x_q) to
+    (w11 x_p + w12 x_q, w21 x_p + w22 x_q) with :func:`sweep`'s w, which is
+    (c x_i + s x_j, c x_j - s x_i) with (i, j) = (p, q), or (q, p) after the
+    t1 > t2 swap.
+
+    Each rotation costs 12-16 bytes: its tangent t, from which c and s are
+    recomputed with the expressions of ``_tangent_cs``, and its plane.
+    A batched step logs the flat (i, j) of each rotation in the
+    (targets x n) replay array, replayed ``_REPLAY_BLOCK`` steps at a time;
+    the target that ran alone through :func:`sweep` at the end logs k
+    (~k when swapped) in ``tail``.
+    """
+
+    def __init__(self):
+        self.pairs, self.ts, self.starts = array("i"), array("d"), array("i")
+        self.lone: int | None = None
+        self.tail = (array("i"), array("d"))
+
+    def add(self, ij: np.ndarray, t: np.ndarray) -> None:
+        """Log one batched step: (2, live) flat indices (i, j) and tangents."""
+        self.starts.append(len(self.ts))
+        self.pairs.frombytes(ij.T.astype(np.intc).tobytes())
+        self.ts.frombytes(t.tobytes())
+
+    def alone(self, i: int) -> tuple[array, array]:
+        """The tail log of target i, which now sweeps alone."""
+        self.lone = i
+        return self.tail
+
+    def vectors(self, m0s: list[int], n: int) -> np.ndarray:
+        """Row i is V e_m of target i, in the sorted ordering."""
+        x = np.zeros((len(m0s), n))
+        x[np.arange(len(m0s)), m0s] = 1.0
+        if self.lone is not None:  # its tail holds the latest rotations
+            x[self.lone] = _replay(x[self.lone].tolist(), m0s[self.lone], *self.tail)
+        xf = x.reshape(-1)
+        pairs = np.frombuffer(self.pairs, dtype=np.intc).reshape(-1, 2)
+        ts = np.frombuffer(self.ts)
+        steps, end = len(self.starts), len(ts)
+        for first in reversed(range(0, steps, _REPLAY_BLOCK)):
+            base = self.starts[first]
+            ij = pairs[base:end].T.astype(np.intp)
+            pq = np.sort(ij, axis=0)
+            t = ts[base:end]
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            sn = np.stack((s, -s))  # (x_p, x_q) <- c (x_i, x_j) + (s, -s) (x_j, x_i)
+            hi = end - base
+            for j in reversed(range(first, min(first + _REPLAY_BLOCK, steps))):
+                lo = self.starts[j] - base
+                r = xf[ij[:, lo:hi]]
+                xf[pq[:, lo:hi]] = r * c[lo:hi] + r[::-1] * sn[:, lo:hi]
+                hi = lo
+            end = base
+        return x
+
+
+def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
+                log: _RotationLog | None) -> list[int]:
     """One sweep of every listed target at once; rotations applied per target.
 
-    ``a`` is the (targets x n x n) working stack and ``vt`` the matching stack
-    of transposed rotation products (row j of ``vt[i]`` is column j of V).
-    Plan step j rotates every target in its own plane (k_j, m) with the
-    elementwise expressions of :func:`sweep`, so each target comes out
-    bit-identical to a :func:`sweep` of its own slice. Only the tangent's
-    hypot runs per element, through ``math.hypot`` as in ``_tangent_cs``.
-    Memory beyond the stacks is O(n * targets).
+    ``a`` is the (targets x n x n) working stack. Plan step j rotates every
+    target in its own plane (k_j, m) with the elementwise expressions of
+    :func:`sweep`, so each target comes out bit-identical to a :func:`sweep`
+    of its own slice. Only the tangent's hypot runs per element, through
+    ``math.hypot`` as in ``_tangent_cs``. ``log``, when given, receives each
+    step's rotations. Memory beyond the stack is O(n * targets).
     """
     n = a.shape[1]
-    a2, v2 = a.reshape(-1, n), None if vt is None else vt.reshape(-1, n)
-    af, at = a.reshape(-1), a.transpose(0, 2, 1)
+    a2, af, at = a.reshape(-1, n), a.reshape(-1), a.transpose(0, 2, 1)
     tix = np.asarray(targets)
     m0 = np.asarray([ranks[i] - 1 for i in targets])
     # Plan step j of target m0: k = 0..m0-1 ascending, then n-1..m0+1 descending.
@@ -244,18 +334,19 @@ def _sweep_many(a: np.ndarray, vt: np.ndarray | None, targets: list[int],
         at[tix[sel], cols] = r
         af[ds] = d
         af[zero[j][:, sel]] = 0.0
-        if v2 is not None:
-            r = v2[src]
-            v2[dst] = r[0] * wa + r[1] * wb
+        if log is not None:
+            log.add(dst, t)
     return counts.tolist()
 
 
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, record_history: bool):
+    def __init__(self, m: int, scratch: tuple[np.ndarray, np.ndarray] | None):
+        # scratch: the two n x n snapshot buffers all targets share, or None
+        # when no history is recorded.
         self.m0 = m - 1
-        self.record_history = record_history
+        self.scratch = scratch
         self.history: list[SweepRecord] = []
         self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
         self.status = SolveStatus.MAX_SWEEPS
@@ -264,8 +355,8 @@ class _Target:
     def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
         """Record the state after sweep k; True once a stopping rule fired."""
         off_m = off_row(a, self.m0)
-        if self.record_history:
-            self.history.append(_snapshot(a, self.m0, k, rotations))
+        if self.scratch is not None:
+            self.history.append(_snapshot(a, self.m0, k, rotations, *self.scratch))
         recent = self.recent
         recent.append(off_m)
         self.sweeps_used = k
@@ -306,9 +397,11 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     Each result is bit-identical to ``solve(A, replace(opts, m=m))``; the
     ranks come from ``ms`` and ``opts.m`` is not used. The matrix is sorted
     and the stopping threshold computed once, then all targets that have not
-    stopped sweep together on a (targets x n x n) working stack (twice that
-    with ``want_vector``). A target leaves the batch when it stops; while a
-    single target is left it runs through :func:`sweep` directly.
+    stopped sweep together on a (targets x n x n) working stack. A target
+    leaves the batch when it stops; while a single target is left it runs
+    through :func:`sweep` directly. With ``want_vector`` each applied
+    rotation is logged in 12-16 bytes, and the eigenvectors are rebuilt at
+    the end by applying the logged rotations to e_m in reverse order.
     """
     M = as_symmatrix(A)
     n = M.n
@@ -317,14 +410,11 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     B, perm = sort_by_diagonal(M)
     b = B.a
     threshold = opts.stop_rel * frob_norm(b)
-    runs = [_Target(m, opts.record_history) for m in ranks]
+    scratch = (np.empty((n, n)), np.empty((n, n))) if opts.record_history else None
+    runs = [_Target(m, scratch) for m in ranks]
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
-    vt = None
-    if opts.want_vector:
-        # Rotation products are kept transposed so plane updates touch rows.
-        vt = np.zeros((len(ranks), n, n))
-        vt[:, np.arange(n), np.arange(n)] = 1.0
+    log = _RotationLog() if opts.want_vector else None
 
     active = [i for i, run in enumerate(runs) if not run.note(work[i], 0, 0, threshold)]
     for k in range(1, opts.max_sweeps + 1):
@@ -332,17 +422,19 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
             break
         if len(active) == 1:
             i = active[0]
-            counts = [sweep(work[i], ranks[i], opts.tol, None if vt is None else vt[i].T)]
+            tail = None if log is None else log.alone(i)
+            counts = [sweep(work[i], ranks[i], opts.tol, _log=tail)]
         else:
-            counts = _sweep_many(work, vt, active, ranks, opts.tol)
+            counts = _sweep_many(work, active, ranks, opts.tol, log)
         active = [i for i, rotations in zip(active, counts)
                   if not runs[i].note(work[i], k, rotations, threshold)]
 
+    vectors = None if log is None else log.vectors([run.m0 for run in runs], n)
     results = []
     for i, run in enumerate(runs):
         vector = None
-        if opts.want_vector:
-            v = _peak_positive(perm.scatter(vt[i, run.m0]))
+        if vectors is not None:
+            v = _peak_positive(perm.scatter(vectors[i]))
             vector = v / np.linalg.norm(v)
         results.append(EigenpairResult(
             lambda_hat=float(work[i, run.m0, run.m0]),
@@ -367,7 +459,7 @@ def solve(A, opts: SolveOptions) -> EigenpairResult:
 
 
 def eigenvector(result: EigenpairResult) -> np.ndarray:
-    """The accumulated unit eigenvector in original coordinates.
+    """The unit eigenvector in original coordinates.
 
     Sign convention: the largest-magnitude component is positive (lowest
     index on ties). Raises :class:`VectorNotAccumulated` if the solve ran

@@ -375,6 +375,12 @@ class TestReadMatrixCsv:
             dio.read_matrix(p)
         assert exc.value.line == 2
 
+    def test_lines_count_inside_a_quoted_cell(self, tmp_path):
+        # The quoted cell spans lines 1-2, so the bad cell is on line 3.
+        p = put(tmp_path, "m.csv", '1.0,"0.5\n"\n0.5,x\n')
+        with pytest.raises(ParseError, match=r"^line 3: bad number 'x'$"):
+            dio.read_matrix(p)
+
     def test_same_symmetry_rule_as_arrays(self, tmp_path):
         # Asymmetry 5e-15 lies above 4*eps*max|a_ij| (~9e-16) but below
         # 4*eps*||A||_F (~9e-15): arrays and files must both reject it.
@@ -433,6 +439,11 @@ class TestReadPointsCsv:
         with pytest.raises(ParseError) as exc:
             dio.read_points_csv(p)
         assert exc.value.line == 2
+
+    def test_lines_count_inside_a_quoted_cell(self, tmp_path):
+        p = put(tmp_path, "pts.csv", '1.0,"0.5\n"\n0.5,x\n')
+        with pytest.raises(ParseError, match=r"^line 3: bad number 'x'$"):
+            dio.read_points_csv(p)
 
 
 class TestHistoryCsv:

@@ -1,3 +1,5 @@
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +337,10 @@ SOLVE_MANY_CASES = {
     # the rotated diagonal pair ties, so the swap rule sees t1 == t2.
     "tied-diagonal": (lambda: tied_diagonal(8, 1e-20),
                       SolveOptions(m=1, stop_rel=0.0, want_vector=True), SolveStatus.CONVERGED),
+    # Not dominant: swapped rotations in the batch, then the slowest rank
+    # sweeps alone through sweep() for its last 23 sweeps.
+    "lone-tail": (lambda: rand_sym(np.random.default_rng(1), 6),
+                  SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
 }
 
 
@@ -370,6 +376,13 @@ def test_solve_many_bit_identical_to_solve(case):
         assert_same_result(got, solve(A, replace(opts, m=m)))
 
 
+def test_lone_tail_case_sweeps_alone():
+    make, opts, _ = SOLVE_MANY_CASES["lone-tail"]
+    used = sorted((r.sweeps_used for r in solve_many(make(), range(1, 7), opts)),
+                  reverse=True)
+    assert used[0] - used[1] >= 2
+
+
 def test_solve_many_follows_the_order_of_ms():
     A = dio.gen_random_dd(12, 0.2, 7)
     opts = SolveOptions(m=1, want_vector=True)
@@ -398,3 +411,59 @@ class TestSolveManyValidation:
     def test_bad_scalars(self, rng):
         with pytest.raises(InvalidOptions):
             solve_many(rand_sym(rng, 4), [1, 2], SolveOptions(m=1, max_sweeps=0))
+
+
+def accumulated(A, m, res, tol, log):
+    """Unit column m of the V that sweep(..., V) accumulates over the
+    sweeps ``res`` ran, in original coordinates; ``log`` gets the rotations."""
+    b = res.permutation.apply(A).a
+    V = np.eye(b.shape[0])
+    for _ in range(res.sweeps_used):
+        sweep(b, m, tol, V, _log=log)
+    assert b[m - 1, m - 1] == res.lambda_hat    # the same rotations as solve
+    v = res.permutation.scatter(V[:, m - 1])
+    return v * np.sign(v @ res.vector) / np.linalg.norm(v)
+
+
+def test_replayed_vector_matches_accumulated_v():
+    rng = np.random.default_rng(8)
+    cases = [(rand_sym(rng, n), int(rng.integers(1, n + 1)), SolveOptions(m=1))
+             for n in (5, 7, 9, 12) for _ in range(3)]
+    cases += [(dio.gen_diag_rank1(63).a, 32, SolveOptions(m=1, stop_rel=1e-9))]
+    cases += [(tied_diagonal(8, 1e-20), m, SolveOptions(m=1, stop_rel=0.0)) for m in (1, 4, 8)]
+    log = (array("i"), array("d"))
+    for a, m, opts in cases:
+        res = solve(a, replace(opts, m=m, want_vector=True))
+        v = accumulated(a, m, res, opts.tol, log)
+        assert np.max(np.abs(res.vector - v)) <= 1e-12
+        frob = np.linalg.norm(a)
+        resid = [np.linalg.norm(a @ x - res.lambda_hat * x) for x in (res.vector, v)]
+        assert abs(resid[0] - resid[1]) <= 1e-12 * frob
+    ks = log[0]
+    assert min(ks) < 0 <= max(ks)    # swapped (~k) and unswapped rotations both ran
+
+
+def peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ms", [[128], [1, 255]])
+def test_vectors_take_no_n_by_n_storage(ms):
+    # An n x n V per target (8 n^2 bytes) would exceed the bound alone. The
+    # rotation log grows with the sweeps: rank 128 runs 45 of them (its log
+    # is ~140 kB); ranks 1 and 255 run 6 together, then 255 runs 8 alone.
+    A = dio.gen_diag_rank1(255)
+
+    def run(want_vector):
+        opts = SolveOptions(m=ms[0], want_vector=want_vector)
+        if len(ms) == 1:
+            return lambda: solve(A, opts)
+        return lambda: solve_many(A, ms, opts)
+
+    extra = peak_bytes(run(True)) - peak_bytes(run(False))
+    assert extra < 8 * len(ms) * 255 ** 2 / 2
