@@ -75,12 +75,26 @@ class SymMatrix:
         The package's one numerical-symmetry rule, for arrays and files
         alike: asymmetry max|a_ij - a_ji| up to ``atol`` (default
         ``4*eps*max|a_ij|``) is averaged away exactly; anything larger raises
-        :class:`AsymmetricInput`.
+        :class:`AsymmetricInput`. By default each entry whose two diagonal
+        entries are nonzero must also stay within ``4*eps*sqrt|a_ii*a_jj|``,
+        its allowance in the units of the scaled matrix, so a graded matrix
+        cannot average away the sign of a small entry.
         """
         a = _square_finite(entries)
-        gap = float(np.abs(a - a.T).max())
+        diff = np.abs(a - a.T)
+        gap = float(diff.max())
         if atol is None:
             atol = 4.0 * EPS * float(np.abs(a).max())
+            if gap:  # exactly symmetric input skips the O(n^2) scaled check
+                d = np.sqrt(np.abs(a.diagonal()))
+                scale = np.outer(d, d)
+                bad = (diff > 4.0 * EPS * scale) & (scale != 0.0)
+                if bad.any():
+                    i, j = np.unravel_index(bad.argmax(), bad.shape)
+                    raise AsymmetricInput(
+                        f"asymmetry {diff[i, j]:.3e} at ({i}, {j}) exceeds its "
+                        f"scaled allowance {4.0 * EPS * scale[i, j]:.3e}"
+                    )
         if gap > atol:
             raise AsymmetricInput(
                 f"max asymmetry {gap:.3e} exceeds allowance {atol:.3e}"

@@ -394,6 +394,22 @@ class TestReadMatrixCsv:
         with pytest.raises(NotSymmetric):
             dio.read_matrix(p)
 
+    def test_graded_asymmetry_judged_in_scaled_units(self, tmp_path):
+        # |a_12 - a_21| = 2e-4 is below 4*eps*max|a_ij| (~9e-4), but in the
+        # scaled matrix that entry is +100 against -100.
+        a = np.diag([1e12, 1.0, 1e-12])
+        a[1, 2], a[2, 1] = 1e-4, -1e-4
+        with pytest.raises(AsymmetricInput):
+            as_symmatrix(a)
+        p = put(tmp_path, "m.csv",
+                "\n".join(",".join(repr(float(x)) for x in row) for row in a))
+        with pytest.raises(NotSymmetric):
+            dio.read_matrix(p)
+        # One ulp (~2e-22) is within 4*eps*sqrt|a_22*a_33| (~9e-22): averaged.
+        a[1, 2], a[2, 1] = np.nextafter(1e-6, 1.0), 1e-6
+        b = as_symmatrix(a).a
+        assert b[1, 2] == b[2, 1] == 0.5 * (a[1, 2] + a[2, 1])
+
     def test_non_csv_extension_goes_to_matrix_market(self, tmp_path):
         p = put(tmp_path, "m.txt",
                 "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 5.0\n")

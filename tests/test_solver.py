@@ -26,15 +26,17 @@ from ddjacobi import (
     sweep,
 )
 import ddjacobi.io as dio
-from ddjacobi.rotation import apply_right, apply_two_sided, schur2
+from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided, schur2
 from conftest import rand_sym
 
 
-def replay_sweep(a, m, tol=0.0, V=None, annihilated=None):
+def replay_sweep(a, m, tol=0.0, V=None, annihilated=None, log=None):
     """Reference sweep built from the public rotation primitives.
 
     Same plan as solver.sweep: k = 1..m-1 ascending, then n..m+1 descending
-    (1-based); optionally records the entries it annihilates.
+    (1-based); optionally records the entries it annihilates, and in ``log``
+    what sweep's ``_log`` holds: k, or ~k where schur2 swapped the columns,
+    and the tangent.
     """
     n = a.shape[0]
     m0 = m - 1
@@ -47,6 +49,11 @@ def replay_sweep(a, m, tol=0.0, V=None, annihilated=None):
         if annihilated is not None:
             annihilated.append(float(a[p, q]))
         res = schur2(a[p, p], a[p, q], a[q, q])
+        if log is not None:
+            c, s, t = _tangent_cs(a[p, p], a[p, q], a[q, q])
+            swapped = not np.array_equal(res.u, [[c, s], [-s, c]])
+            log[0].append(~k if swapped else k)
+            log[1].append(t)
         apply_two_sided(a, p, q, res.u)
         a[p, q] = 0.0
         a[q, p] = 0.0
@@ -70,6 +77,38 @@ def test_sweep_bit_identical_to_rotation_primitives(rng):
         assert ca == cb
         assert np.array_equal(a, b)
         assert np.array_equal(Va, Vb)
+
+
+def sweep_cases():
+    """(matrix, m, tol) for the solver's own sweep path, one-sided plans included."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for m in sorted({1, (n + 1) // 2, n}):
+            for tol in (0.0, 0.3):
+                yield rand_sym(rng, n), m, tol
+    for n, m in ((6, 1), (9, 4), (9, 9)):
+        a = rand_sym(rng, n)
+        zero = [k for k in rng.permutation(n)[: n // 2] if k != m - 1]
+        a[m - 1, zero] = a[zero, m - 1] = 0.0    # skipped, not counted
+        yield a, m, 0.0
+    for m in (1, 4, 8):    # theta = 0, and ties resolved by the t1 > t2 swap
+        yield tied_diagonal(8, 1e-20), m, 0.0
+        yield tied_diagonal(8, 0.3), m, 0.0
+
+
+def test_solver_sweep_path_bit_identical_to_rotation_primitives():
+    # solve runs sweep without V and with _log: its matrix, count and log
+    # must match the primitives over several sweeps.
+    logged = array("i")
+    for a, m, tol in sweep_cases():
+        b = a.copy()
+        la, lb = (array("i"), array("d")), (array("i"), array("d"))
+        for _ in range(3):
+            assert sweep(a, m, tol, _log=la) == replay_sweep(b, m, tol, log=lb)
+            assert a.tobytes() == b.tobytes()    # signed zeros too
+        assert la[0] == lb[0] and la[1].tobytes() == lb[1].tobytes()
+        logged.extend(la[0])
+    assert min(logged) < 0 <= max(logged)    # swapped and unswapped rotations
 
 
 def test_sweep_gates_everything_under_a_huge_tol(rng):
