@@ -1,9 +1,9 @@
-"""Classical cyclic-by-rows Jacobi eigendecomposition.
+"""Classical cyclic Jacobi eigendecomposition in parallel order.
 
-This is the correctness oracle for the targeted solver and, up to n = 128,
-the spectrum source for exact modes. It is written for trustworthiness, not
-speed: plain row-cyclic sweeps, one annihilating rotation per off-diagonal
-pair, until the whole off-norm falls below sqrt(eps) * frob_norm(A0).
+The correctness oracle for the targeted solver and, up to n = 128, the
+spectrum source for exact modes. Sweeps run until the off-norm falls below
+sqrt(eps) * frob_norm(A0), each in N - 1 rounds of N/2 disjoint rotations
+(Brent & Luk, SISSC 1985; Sameh, Math. Comp. 1971), a few numpy calls each.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import numpy as np
 
 from .errors import NoConvergence
 from .matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
-from .rotation import apply_right, apply_two_sided, jacobi_angle
 
 __all__ = ["EigDecomposition", "full_jacobi"]
 
-# Above this order, exact-mode spectra come from LAPACK instead of the Jacobi
-# oracle: the same values to about 1e-12 relative, without O(n^3) Python work.
+# Above this order, exact-mode spectra come from LAPACK (the same values to
+# about 1e-12 relative); the oracle takes ~0.08 s at n = 100, ~0.2 s at 128.
 _ORACLE_CUTOFF = 128
 
 
@@ -32,6 +31,18 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
+def _round_robin(N: int) -> np.ndarray:
+    """The gather before each round, at even N: a round pairs slots (2i, 2i + 1).
+    In the circle method's terms, slots 0, 2i and 2i + 1 (i >= 1) are ring seats
+    0, i and N - 1 - i, seat k meets seat -k and seat 0 meets slot 1, which sits
+    still. The gather turns the ring by one seat, so a sweep of N - 1 rounds
+    meets every pair once and ends where it began."""
+    seat_slot = np.concatenate(([0], np.arange(2, N, 2), np.arange(N - 1, 2, -2)))
+    g = np.arange(N)
+    g[seat_slot] = np.roll(seat_slot, -1)
+    return g
+
+
 def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposition:
     """Diagonalize by cyclic Jacobi sweeps over all pairs p < q.
 
@@ -39,14 +50,23 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposi
     threshold * frob_norm(A0) / n are skipped within a sweep (0 disables the
     gate). Raises :class:`NoConvergence` if the off-norm is still above
     sqrt(eps) * frob_norm(A0) after ``max_sweeps`` sweeps.
+
+    A sweep is N - 1 rounds, each gathered by :func:`_round_robin` (odd n
+    gains a zero row, which never rotates). A round forms B = R^T P A, then
+    R^T (P A P^T) R = R^T P B^T as A is symmetric, each a batched 2x2 product.
     """
     M = as_symmatrix(A)
-    a = M.a.copy()
-    n = a.shape[0]
-    frob0 = frob_norm(a)
+    n, N = M.n, M.n + M.n % 2
+    frob0 = frob_norm(M)
     target = math.sqrt(EPS) * frob0
-    gate = threshold * frob0 / n
-    V = np.eye(n)
+    # |a_pq| >= gate rotates; the floor keeps exact zeros still at threshold 0
+    gate = max(threshold * frob0 / n, math.ulp(0.0))
+    g = _round_robin(N)
+    a, b, vt = np.zeros((N, N)), np.empty((N, N)), np.eye(N)
+    a[:n, :n] = M.a
+    a3, b3, vt3 = (x.reshape(N // 2, 2, N) for x in (a, b, vt))
+    flat = a.reshape(-1)
+    diag, upper, lower = flat[::N + 1], flat[1::2 * N + 2], flat[N::2 * N + 2]
 
     sweeps = 0
     while off_norm(a) > target:
@@ -55,24 +75,33 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposi
                 f"off-norm {off_norm(a):.3e} still above {target:.3e} "
                 f"after {max_sweeps} sweeps"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0 or abs(apq) < gate:
-                    continue
-                u = jacobi_angle(a[p, p], apq, a[q, q]).matrix()
-                apply_two_sided(a, p, q, u)
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                apply_right(V, p, q, u)
+        for _ in range(N - 1):
+            d, apq = diag[g], a[g[0::2], g[1::2]]
+            live = np.abs(apq) >= gate
+            # _tangent_cs's t (1 at theta = 0); 0 if gated or theta overflows
+            with np.errstate(over="ignore"):
+                theta = (d[1::2] - d[0::2]) / (2.0 * np.where(live, apq, 1.0))
+            t = np.where(theta < 0.0, -1.0, 1.0) * live / (np.abs(theta) + np.hypot(1.0, theta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            w = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
+            # g is in range; the default mode="raise" would buffer out (N^2)
+            np.take(a, g, axis=0, out=b, mode="clip")
+            np.matmul(w, b3, out=a3)
+            np.copyto(b, a.T)
+            np.take(b, g, axis=0, out=a, mode="clip")
+            np.matmul(w, a3, out=b3)
+            np.add(b, b.T, out=a)
+            a *= 0.5
+            upper[live] = lower[live] = 0.0
+            np.take(vt, g, axis=0, out=b, mode="clip")
+            np.matmul(w, b3, out=vt3)
         sweeps += 1
 
-    order = np.argsort(a.diagonal(), kind="stable")
-    values = a.diagonal()[order].copy()
-    vectors = V[:, order].copy()
+    order = np.argsort(diag[:n], kind="stable")
+    vectors = vt[order, :n].T
     for j in range(n):
         vectors[:, j] = _peak_positive(vectors[:, j])
-    return EigDecomposition(values=values, vectors=vectors)
+    return EigDecomposition(values=diag[order], vectors=vectors)
 
 
 def _exact_values(A) -> np.ndarray:
