@@ -6,145 +6,21 @@ fast when the diagonally-scaled matrix is strongly diagonally dominant.
 Ships with convergence diagnostics (relative gaps, certified contraction
 bounds, rate fitting), a classical full-Jacobi oracle, a spectral-clustering
 pipeline, a homotopy eigenpath tracker, and Matrix Market / CSV tooling.
+
+The package exports each module's ``__all__``, plus the ``io`` module itself.
 """
 
-from . import io
-from .diagnostics import (
-    DiagnosticsReport,
-    GapSet,
-    alpha,
-    diagnose,
-    fit_rate,
-    foa_factor,
-    gap_hat,
-    min_relative_gap,
-    rel,
-    sep_bound,
-    thm2_bound,
-)
-from .errors import (
-    AsymmetricInput,
-    BothZero,
-    BoundUndefined,
-    CollapsedGap,
-    DegenerateGapHat,
-    InputError,
-    InsufficientHistory,
-    InvalidOptions,
-    IsolatedVertex,
-    NoConvergence,
-    NonpositiveValues,
-    NotSymmetric,
-    NumericalError,
-    ParseError,
-    SingleEigenvalue,
-    StepLimit,
-    TrackerStalled,
-    UnsupportedField,
-    VectorNotAccumulated,
-    ZeroDiagonal,
-)
-from .homotopy import GAP_FLOOR, HomotopyPath, HomotopyStep, TrackerConfig, step_length, track
-from .matcore import (
-    EPS,
-    Permutation,
-    ScaledView,
-    SymMatrix,
-    as_symmatrix,
-    frob_norm,
-    off_norm,
-    off_row,
-    omega,
-    scaled,
-    sort_by_diagonal,
-)
-from .reference import EigDecomposition, full_jacobi
-from .rotation import Rotation2, Schur2Result, apply_right, apply_two_sided, jacobi_angle, schur2
-from .solver import (
-    STOP_REL_DEFAULT,
-    EigenpairResult,
-    SolveOptions,
-    SolveStatus,
-    SweepRecord,
-    eigenvector,
-    solve,
-    solve_many,
-    sweep,
-)
-from .spectral import ClusterResult, PointCloud, fiedler_partition, gaussian_similarity, normalized_laplacian
+from . import diagnostics, errors, homotopy, io, matcore, reference, rotation, solver, spectral
+from .diagnostics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .homotopy import *  # noqa: F401,F403
+from .matcore import *  # noqa: F401,F403
+from .reference import *  # noqa: F401,F403
+from .rotation import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS",
-    "GAP_FLOOR",
-    "STOP_REL_DEFAULT",
-    "SymMatrix",
-    "ScaledView",
-    "Permutation",
-    "as_symmatrix",
-    "off_norm",
-    "off_row",
-    "omega",
-    "scaled",
-    "sort_by_diagonal",
-    "frob_norm",
-    "Rotation2",
-    "Schur2Result",
-    "jacobi_angle",
-    "schur2",
-    "apply_two_sided",
-    "apply_right",
-    "SolveOptions",
-    "SolveStatus",
-    "SweepRecord",
-    "EigenpairResult",
-    "solve",
-    "solve_many",
-    "sweep",
-    "eigenvector",
-    "EigDecomposition",
-    "full_jacobi",
-    "GapSet",
-    "DiagnosticsReport",
-    "min_relative_gap",
-    "rel",
-    "alpha",
-    "gap_hat",
-    "thm2_bound",
-    "foa_factor",
-    "sep_bound",
-    "fit_rate",
-    "diagnose",
-    "PointCloud",
-    "ClusterResult",
-    "gaussian_similarity",
-    "normalized_laplacian",
-    "fiedler_partition",
-    "TrackerConfig",
-    "HomotopyStep",
-    "HomotopyPath",
-    "step_length",
-    "track",
-    "io",
-    "InputError",
-    "NumericalError",
-    "AsymmetricInput",
-    "ZeroDiagonal",
-    "InvalidOptions",
-    "VectorNotAccumulated",
-    "SingleEigenvalue",
-    "BothZero",
-    "DegenerateGapHat",
-    "InsufficientHistory",
-    "NonpositiveValues",
-    "BoundUndefined",
-    "IsolatedVertex",
-    "ParseError",
-    "NotSymmetric",
-    "UnsupportedField",
-    "NoConvergence",
-    "CollapsedGap",
-    "StepLimit",
-    "TrackerStalled",
-]
+__all__ = ["io", *(name for mod in (diagnostics, errors, homotopy, matcore, reference,
+                                    rotation, solver, spectral) for name in mod.__all__)]

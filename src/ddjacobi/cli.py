@@ -12,6 +12,7 @@ data/parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from enum import IntEnum
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .homotopy import TrackerConfig, track
 from .reference import _exact_values, full_jacobi
-from .solver import STOP_REL_DEFAULT, SolveOptions, SolveStatus, solve
+from .solver import SolveOptions, SolveStatus, solve
 from .spectral import fiedler_partition, gaussian_similarity, normalized_laplacian
 
 __all__ = ["ExitCode", "main", "entry"]
@@ -178,6 +179,9 @@ def cmd_diagnose(args) -> int:
     return int(ExitCode.OK)
 
 
+# Built once: parse_args returns a fresh Namespace per call, and each build
+# leaves ~300 objects in reference cycles for the collector.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="ddjacobi",
                 description="Targeted Jacobi eigensolver toolkit")
@@ -187,10 +191,11 @@ def _build_parser() -> _Parser:
     eig.add_argument("--input", required=True)
     eig.add_argument("--m", type=int, required=True,
                      help="1-based eigenvalue rank (ascending)")
-    eig.add_argument("--tol", type=float, default=0.0)
+    eig.add_argument("--tol", type=float, default=SolveOptions.tol)
     eig.add_argument("--stop-rel", dest="stop_rel", type=float,
-                     default=STOP_REL_DEFAULT)
-    eig.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=200)
+                     default=SolveOptions.stop_rel)
+    eig.add_argument("--max-sweeps", dest="max_sweeps", type=int,
+                     default=SolveOptions.max_sweeps)
     eig.add_argument("--vector", action="store_true")
     eig.add_argument("--history", help="write per-sweep CSV here")
     eig.add_argument("--ref", action="store_true",
@@ -215,7 +220,7 @@ def _build_parser() -> _Parser:
 
     trk = sub.add_parser("track", help="homotopy eigenpath tracking")
     trk.add_argument("--input", required=True)
-    trk.add_argument("--c", type=float, default=1.0)
+    trk.add_argument("--c", type=float, default=TrackerConfig.c)
     trk.add_argument("--path", help="write per-step CSV here")
     trk.set_defaults(fn=cmd_track)
 

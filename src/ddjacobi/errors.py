@@ -6,6 +6,13 @@ options handed to us (bad shapes, zero diagonals, unparsable files), while
 be carried to completion (iteration budgets, collapsed gaps).
 """
 
+__all__ = ["InputError", "NumericalError", "AsymmetricInput", "ZeroDiagonal",
+           "InvalidOptions", "VectorNotAccumulated", "SingleEigenvalue",
+           "BothZero", "DegenerateGapHat", "InsufficientHistory",
+           "NonpositiveValues", "BoundUndefined", "IsolatedVertex",
+           "ParseError", "NotSymmetric", "UnsupportedField", "NoConvergence",
+           "CollapsedGap", "StepLimit", "TrackerStalled"]
+
 
 class InputError(ValueError):
     """Base class for invalid inputs: data, options, or file contents."""

@@ -73,35 +73,34 @@ class SymMatrix:
         """Build from nearly symmetric data.
 
         The package's one numerical-symmetry rule, for arrays and files
-        alike: asymmetry max|a_ij - a_ji| up to ``atol`` (default
-        ``4*eps*max|a_ij|``) is averaged away exactly; anything larger raises
-        :class:`AsymmetricInput`. By default each entry whose two diagonal
-        entries are nonzero must also stay within ``4*eps*sqrt|a_ii*a_jj|``,
-        its allowance in the units of the scaled matrix, so a graded matrix
-        cannot average away the sign of a small entry.
+        alike: each asymmetry |a_ij - a_ji| up to its entry's allowance is
+        averaged away exactly; anything larger raises :class:`AsymmetricInput`.
+        The allowance is ``atol`` when given. By default it is
+        ``4*eps*sqrt|a_ii*a_jj|``, that is 4*eps in the units of the scaled
+        matrix, so a graded matrix cannot average away the sign of a small
+        entry; where a_ii or a_jj is zero it is ``4*eps*max|a_ij|``, which
+        also caps the scaled value (rounding can lift that an ulp above).
         """
         a = _square_finite(entries)
         diff = np.abs(a - a.T)
-        gap = float(diff.max())
-        if atol is None:
-            atol = 4.0 * EPS * float(np.abs(a).max())
-            if gap:  # exactly symmetric input skips the O(n^2) scaled check
-                d = np.sqrt(np.abs(a.diagonal()))
-                scale = np.outer(d, d)
-                bad = (diff > 4.0 * EPS * scale) & (scale != 0.0)
-                if bad.any():
-                    i, j = np.unravel_index(bad.argmax(), bad.shape)
-                    raise AsymmetricInput(
-                        f"asymmetry {diff[i, j]:.3e} at ({i}, {j}) exceeds its "
-                        f"scaled allowance {4.0 * EPS * scale[i, j]:.3e}"
-                    )
-        if gap > atol:
+        asymmetric = diff.any()
+        if atol is not None:
+            limit = np.full_like(diff, atol)
+        elif asymmetric:
+            d = np.sqrt(np.abs(a.diagonal()))
+            scale = np.outer(d, d)
+            scale[scale == 0.0] = np.inf
+            limit = 4.0 * EPS * np.minimum(scale, float(np.abs(a).max()))
+        else:  # exactly symmetric input skips the O(n^2) allowance
+            return cls._wrap(a)
+        bad = diff > limit
+        if bad.any():
+            i, j = np.unravel_index(bad.argmax(), bad.shape)
             raise AsymmetricInput(
-                f"max asymmetry {gap:.3e} exceeds allowance {atol:.3e}"
+                f"asymmetry {diff[i, j]:.3e} at ({i}, {j}) exceeds its "
+                f"allowance {limit[i, j]:.3e}"
             )
-        if gap:
-            a = 0.5 * (a + a.T)
-        return cls._wrap(a)
+        return cls._wrap(0.5 * (a + a.T) if asymmetric else a)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":

@@ -18,8 +18,10 @@ from .matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
 
 __all__ = ["EigDecomposition", "full_jacobi"]
 
-# Above this order, exact-mode spectra come from LAPACK (the same values to
-# about 1e-12 relative); the oracle takes ~0.08 s at n = 100, ~0.2 s at 128.
+# Above this order, exact-mode spectra come from LAPACK, accurate only
+# relative to ||A||: on graded D*H*D (n = 16, D from 1e-6 to 1e6) its small
+# eigenvalues were off by up to 8e6 relative, the oracle's by 1.1e-12
+# (tests/test_reference.py). The oracle takes ~0.08 s at n = 100, ~0.2 s at 128.
 _ORACLE_CUTOFF = 128
 
 

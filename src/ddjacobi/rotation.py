@@ -46,9 +46,11 @@ class Schur2Result:
 
 
 def _tangent_cs(a_pp: float, a_pq: float, a_qq: float) -> tuple[float, float, float]:
-    """Scalar core shared by jacobi_angle and the solver's sweep loop.
+    """Scalar core of jacobi_angle, schur2 and the solver's sweep loop.
 
-    Returns (c, s, t) for the annihilating rotation with |t| <= 1.
+    Returns (c, s, t) for the annihilating rotation with |t| <= 1. Takes
+    Python floats: theta overflows to inf, giving t = 0, without the
+    RuntimeWarning that numpy scalars raise.
     """
     if a_pq == 0.0:
         return 1.0, 0.0, 0.0
@@ -67,17 +69,18 @@ def jacobi_angle(a_pp: float, a_pq: float, a_qq: float) -> Rotation2:
     Returns the identity when a_pq == 0; ties (a_pp == a_qq) take t = 1,
     i.e. the +pi/4 angle, so the sign of tan matches the sign of a_pq.
     """
-    c, s, _ = _tangent_cs(a_pp, a_pq, a_qq)
+    c, s, _ = _tangent_cs(float(a_pp), float(a_pq), float(a_qq))
     return Rotation2(c, s)
 
 
 def schur2(b11: float, b12: float, b22: float) -> Schur2Result:
     """Schur decomposition of [[b11, b12], [b12, b22]] with ascending diagonal.
 
-    Built from :func:`jacobi_angle` plus a conditional column swap when the
-    rotated diagonal comes out descending, so the first column of U always
-    pairs with the smaller eigenvalue.
+    The rotation of :func:`jacobi_angle` plus a conditional column swap when
+    the rotated diagonal comes out descending, so the first column of U
+    always pairs with the smaller eigenvalue.
     """
+    b11, b12, b22 = float(b11), float(b12), float(b22)
     c, s, t = _tangent_cs(b11, b12, b22)
     # Diagonal of the rotated block in closed form (no residual subtraction).
     t1 = b11 - t * b12

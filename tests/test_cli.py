@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,19 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert main(["eig", "--help"]) == 0
         capsys.readouterr()
+
+
+def test_repeated_calls_leave_no_reference_cycles(tmp_path, capsys):
+    argv = ["gen", "--kind", "random-dd", "--n", "8", "--out", str(tmp_path / "g.mtx")]
+    main(argv)  # warm-up: builds the parser once
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() < 20
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 class TestDataErrors:

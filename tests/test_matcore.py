@@ -86,6 +86,70 @@ class TestSymMatrix:
         assert isinstance(N, SymMatrix)
 
 
+def two_check_symmetrized(entries, atol=None):
+    """The rule as two checks, kept as the reference: the scaled allowance
+    4*eps*sqrt|a_ii*a_jj| where both diagonal entries are nonzero, then the
+    absolute allowance ``atol`` (default 4*eps*max|a_ij|) on every entry."""
+    a = np.array(entries, dtype=np.float64)
+    diff = np.abs(a - a.T)
+    gap = float(diff.max())
+    if atol is None:
+        atol = 4.0 * EPS * float(np.abs(a).max())
+        if gap:
+            d = np.sqrt(np.abs(a.diagonal()))
+            scale = np.outer(d, d)
+            if ((diff > 4.0 * EPS * scale) & (scale != 0.0)).any():
+                raise AsymmetricInput("scaled")
+    if gap > atol:
+        raise AsymmetricInput("absolute")
+    return 0.5 * (a + a.T) if gap else a
+
+
+def _symmetry_cases():
+    """(name, a, noise scale, atol): off-diagonal noise of k times the
+    allowance in each triangle straddles the allowance for k a little above
+    1/2."""
+    rng = np.random.default_rng(11)
+    graded = np.logspace(-12, 12, 9)
+
+    def scaled_units(a):
+        s = np.sqrt(np.abs(np.outer(a.diagonal(), a.diagonal())))
+        units = 4.0 * EPS * np.where(s != 0.0, s, np.abs(a).max())
+        np.fill_diagonal(units, 0.0)
+        return units
+
+    for k in (0.5, 0.55, 0.7):
+        base = rand_sym(rng, 9)
+        yield f"random-{k}", base, k * scaled_units(base), None
+        g = graded[:, None] * rand_sym(rng, 9) * graded[None, :]
+        yield f"graded-{k}", g, k * scaled_units(g), None
+        z = rand_sym(rng, 9)
+        z[[1, 5], [1, 5]] = 0.0
+        yield f"zero-diagonal-{k}", z, k * scaled_units(z), None
+        yield f"atol-{k}", base, np.full(base.shape, k * 1e-3), 1e-3
+    # sqrt(2) * sqrt(2) rounds an ulp above 2, past the 4*eps*max|a_ij| cap
+    above_cap = np.full((2, 2), 2.0)
+    above_cap[0, 1] = 0.0
+    above_cap[1, 0] = 4.0 * EPS * np.sqrt(2.0) * np.sqrt(2.0)
+    yield "scaled-above-cap", above_cap, np.zeros((2, 2)), None
+    yield "exact-negative-atol", np.eye(3), np.zeros((3, 3)), -1.0
+
+
+@pytest.mark.parametrize("a,noise,atol", [c[1:] for c in _symmetry_cases()],
+                         ids=[c[0] for c in _symmetry_cases()])
+def test_symmetrized_matches_two_check_rule(a, noise, atol):
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        noisy = a + noise * rng.uniform(-1.0, 1.0, a.shape)
+        try:
+            want = two_check_symmetrized(noisy, atol)
+        except AsymmetricInput:
+            with pytest.raises(AsymmetricInput):
+                SymMatrix.symmetrized(noisy, atol)
+        else:
+            assert SymMatrix.symmetrized(noisy, atol).a.tobytes() == want.tobytes()
+
+
 def brute_off(a):
     s = 0.0
     for i in range(a.shape[0]):

@@ -92,8 +92,7 @@ def test_parallel_order_matches_cyclic_by_rows_and_lapack(a, threshold):
         dec = full_jacobi(M, threshold=threshold)
     assert np.array_equal(a, given)  # the input is not written to
     n = a.shape[0]
-    with np.errstate(over="ignore"):  # the scalar loop warns on theta-overflow
-        old_values, old_vectors = cyclic_by_rows(a, threshold=threshold)
+    old_values, old_vectors = cyclic_by_rows(a, threshold=threshold)
     tol = 1e-12 * frob_norm(a)
     assert np.all(np.diff(dec.values) >= 0.0)
     assert np.max(np.abs(dec.values - old_values)) <= tol

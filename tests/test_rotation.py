@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,18 @@ def test_tie_takes_quarter_pi():
     assert r.tan == pytest.approx(1.0)
     r2 = jacobi_angle(2.0, -1.5, 2.0)
     assert r2.tan == pytest.approx(1.0)
+
+
+def test_theta_overflow_gives_identity_without_warning():
+    # numpy entries: (1e10 - 0) / 2e-300 overflows to inf, so t = 0
+    app, apq, aqq = np.array([0.0, 1e-300, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = jacobi_angle(app, apq, aqq)
+        res = schur2(app, apq, aqq)
+    assert (r.c, r.s) == (1.0, 0.0)
+    assert np.array_equal(res.u, np.eye(2))
+    assert res.t == (0.0, 1e10)
 
 
 @given(app=finite, apq=finite, aqq=finite)
