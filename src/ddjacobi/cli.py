@@ -79,7 +79,8 @@ def cmd_eig(args) -> int:
     A = dio.read_matrix(args.input)
     _check_rank(args.m, A.n)
     opts = SolveOptions(m=args.m, tol=args.tol, stop_rel=args.stop_rel,
-                        max_sweeps=args.max_sweeps, want_vector=args.vector)
+                        max_sweeps=args.max_sweeps, want_vector=args.vector,
+                        record_history=args.history is not None)
     res = solve(A, opts)
     lam = _exact_values(A)[args.m - 1] if args.ref else None
     _emit("lambda_hat", res.lambda_hat)
@@ -113,7 +114,8 @@ def cmd_cluster(args) -> int:
     else:
         W = dio.read_matrix(args.weights)
     L = normalized_laplacian(W)
-    res = fiedler_partition(L)
+    res = fiedler_partition(
+        L, SolveOptions(m=2, record_history=args.history is not None))
     _emit("lambda2", res.lambda2)
     _emit("status", res.solve_status.value)
     if args.exact:

@@ -117,17 +117,10 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     sigma = diag_a.copy()
     path = HomotopyPath()
 
-    if n == 1:
-        path.steps.append(HomotopyStep(
-            t=1.0, s=1.0, sigma=sigma.copy(), gamma_hat=np.inf,
-            iters_per_eig=np.zeros(1, dtype=int)))
-        path.final_q = q
-        path.total_steps = 1
-        return path
-
     t = 0.0
-    gh = min_relative_gap(sigma).gamma
-    all_iters: list[int] = []
+    # A lone eigenvalue has gap +inf, so step_length goes to t = 1 at once.
+    gh = min_relative_gap(sigma).gamma if n > 1 else np.inf
+    sweeps = 0
     while t < 1.0:
         if len(path.steps) >= cfg.max_steps:
             raise StepLimit(f"no arrival at t = 1 within {cfg.max_steps} steps")
@@ -159,11 +152,11 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
         q = q @ _orthonormalize(np.column_stack([r.vector for r in results]))
         sigma = np.array([r.lambda_hat for r in results])
         iters = np.array([r.sweeps_used for r in results])
-        all_iters.extend(int(k) for k in iters)
+        sweeps += int(iters.sum())
 
         defect = float(np.linalg.norm(q.T @ q - np.eye(n)))
         path.max_orth_defect = max(path.max_orth_defect, defect)
-        gh = min_relative_gap(sigma).gamma
+        gh = min_relative_gap(sigma).gamma if n > 1 else np.inf
         path.steps.append(HomotopyStep(
             t=t_next, s=t_next - t, sigma=sigma.copy(),
             gamma_hat=gh, iters_per_eig=iters, halvings=halvings))
@@ -171,5 +164,5 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
 
     path.final_q = q
     path.total_steps = len(path.steps)
-    path.avg_iters = float(np.mean(all_iters)) if all_iters else 0.0
+    path.avg_iters = sweeps / (n * path.total_steps)
     return path

@@ -82,7 +82,9 @@ class SymMatrix:
         also caps the scaled value (rounding can lift that an ulp above).
         """
         a = _square_finite(entries)
-        diff = np.abs(a - a.T)
+        # An asymmetry past the float range reads inf, above any finite allowance.
+        with np.errstate(over="ignore"):
+            diff = np.abs(a - a.T)
         asymmetric = diff.any()
         if atol is not None:
             limit = np.full_like(diff, atol)
@@ -100,7 +102,8 @@ class SymMatrix:
                 f"asymmetry {diff[i, j]:.3e} at ({i}, {j}) exceeds its "
                 f"allowance {limit[i, j]:.3e}"
             )
-        return cls._wrap(0.5 * (a + a.T) if asymmetric else a)
+        # Halving first cannot overflow, and is exact above the subnormals.
+        return cls._wrap(0.5 * a + 0.5 * a.T if asymmetric else a)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":

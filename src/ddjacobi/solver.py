@@ -118,9 +118,7 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     # the 2x2 slots, which are overwritten. A rotation is two ufunc calls
     # (x[j, i] = w[j, i] r[j], then r = x[0] + x[1]: the same products and
     # add), a row load, a row write and one strided column write, with scalar
-    # math on Python floats. Per rotation on drk1, m = n/2, 2 shared vCPUs:
-    # 0.58x the former six-ufunc, four-copy loop at n <= 64 (8 us against
-    # 14 us at n = 16), 0.71-0.73x at n = 383, 0.65-0.71x at n = 512-1024.
+    # math on Python floats.
     r, x, w = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, 2, 1))
     rk, rm = r
     x0, x1, wf, r3 = x[0], x[1], w.reshape(4), r[:, None]
@@ -280,6 +278,9 @@ class _RotationLog:
         return x
 
 
+# theta = (a_qq - a_pp) / (2 a_pq) may overflow: inf gives t = 0, silently as in
+# sweep. Guarded per call (~2 us), not per plan step (~2,400 in a 20x20 track).
+@np.errstate(over="ignore")
 def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
                 log: _RotationLog | None) -> list[int]:
     """One sweep of every listed target at once; rotations applied per target.

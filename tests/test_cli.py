@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import ddjacobi.io as dio
+import ddjacobi.solver as solver
 from ddjacobi.cli import ExitCode, main
 from conftest import rand_sym
+
+
+def no_snapshot(*args, **kwargs):
+    raise AssertionError("a history snapshot was taken without --history")
 
 
 def kv(capsys):
@@ -53,6 +58,15 @@ class TestEig:
         assert all(r.err_vs_ref is not None for r in rows)
         assert rows[-1].err_vs_ref < 1e-8
         capsys.readouterr()
+
+    def test_history_only_when_asked(self, dom_mtx, tmp_path, monkeypatch,
+                                     capsys):
+        argv = ["eig", "--input", str(dom_mtx), "--m", "2", "--vector"]
+        assert main(argv + ["--history", str(tmp_path / "h.csv")]) == 0
+        with_history = capsys.readouterr().out
+        monkeypatch.setattr(solver, "_snapshot", no_snapshot)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == with_history
 
     def test_reference_errors_above_the_oracle_cutoff(self, tmp_path,
                                                        no_oracle, capsys):
@@ -267,6 +281,15 @@ class TestCluster:
         code = main(["cluster", "--weights", str(wfile)])
         assert code == 0
         assert kv(capsys)["status"] == "Converged"
+
+    def test_history_only_when_asked(self, blobs_csv, tmp_path, monkeypatch,
+                                     capsys):
+        argv = ["cluster", "--points", str(blobs_csv), "--sigma", "1.0"]
+        assert main(argv + ["--history", str(tmp_path / "h.csv")]) == 0
+        with_history = capsys.readouterr().out
+        monkeypatch.setattr(solver, "_snapshot", no_snapshot)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == with_history
 
 
 class TestTrack:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddjacobi import (
     BothZero,
@@ -75,6 +76,60 @@ class TestMinRelativeGap:
         gaps = min_relative_gap(v)
         adj = np.abs(np.diff(v)) / (np.abs(v[1:]) + np.abs(v[:-1]))
         assert gaps.gamma == pytest.approx(float(adj.min()), rel=1e-12)
+
+
+def all_pairs_gaps(values):
+    """The all-pairs scan that min_relative_gap replaced, kept as its reference."""
+    v = np.asarray(values, dtype=np.float64)
+    num = np.abs(v[:, None] - v[None, :])
+    den = np.abs(v)[:, None] + np.abs(v)[None, :]
+    r = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    np.fill_diagonal(r, np.inf)
+    gaps = r.min(axis=1)
+    return float(gaps.min()), gaps
+
+
+# |x| + |y| cannot overflow below 8e307; the floats include +-0 and subnormals.
+bounded = st.floats(min_value=-8e307, max_value=8e307)
+
+
+@st.composite
+def spectra(draw):
+    """2-300 values, drawn partly from a small pool so that ties are common."""
+    pool = draw(st.lists(bounded, min_size=1, max_size=20))
+    return draw(st.lists(st.sampled_from(pool) | bounded, min_size=2, max_size=300))
+
+
+@given(values=spectra())
+@settings(max_examples=200, deadline=None)
+def test_sorted_neighbour_gaps_match_all_pairs(values):
+    gamma, gamma_j = all_pairs_gaps(values)
+    got = min_relative_gap(values)
+    assert got.gamma == gamma
+    # Next to a run of near-equal values far larger, the all-pairs minimum
+    # can pick a farther member whose computed ratio rounds a few ulps lower.
+    ulps = np.abs(got.gamma_j.view(np.int64) - gamma_j.view(np.int64))
+    assert ulps.max() <= 4
+
+
+def seeded_spectra():
+    rng = np.random.default_rng(10)
+    for n in (2, 3, 7, 20, 33, 100, 300):
+        yield rng.standard_normal(n)
+        yield rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+        yield np.round(rng.standard_normal(n), 1)
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.3] = 0.0
+        v[rng.random(n) < 0.2] = -0.0
+        yield v
+
+
+def test_sorted_neighbour_gaps_bit_identical_on_seeded_corpus():
+    for values in seeded_spectra():
+        gamma, gamma_j = all_pairs_gaps(values)
+        got = min_relative_gap(values)
+        assert got.gamma == gamma
+        assert got.gamma_j.tobytes() == gamma_j.tobytes()
 
 
 def test_alpha_matches_generator_target():

@@ -74,6 +74,19 @@ def test_order_one_matrix():
     assert path.steps[0].sigma[0] == 4.2
 
 
+@pytest.mark.parametrize("a", [4.2, -3.0, 0.0])
+def test_order_one_path_is_one_full_step(a):
+    path = track(np.array([[a]]))
+    (step,) = path.steps
+    assert (step.t, step.s, step.gamma_hat, step.halvings) == (1.0, 1.0, np.inf, 0)
+    assert step.sigma.tobytes() == np.array([a]).tobytes()
+    assert np.issubdtype(step.iters_per_eig.dtype, np.integer)
+    assert step.iters_per_eig.tolist() == [0]
+    assert path.final_q.tobytes() == np.array([[1.0]]).tobytes()
+    assert path.total_steps == 1
+    assert path.avg_iters == 0.0 and path.max_orth_defect == 0.0
+
+
 def test_tracks_dominant_instance():
     A = dio.gen_random_dd(10, 0.2, seed=5)
     path = track(A)

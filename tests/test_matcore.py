@@ -150,6 +150,20 @@ def test_symmetrized_matches_two_check_rule(a, noise, atol):
             assert SymMatrix.symmetrized(noisy, atol).a.tobytes() == want.tobytes()
 
 
+def test_symmetrized_average_cannot_overflow():
+    big = 1.7e308
+    a = np.array([[big, big], [np.nextafter(big, 0.0), big]])
+    b = SymMatrix.symmetrized(a).a
+    assert np.isfinite(b).all()
+    assert b[0, 1] == b[1, 0]
+    assert a[1, 0] <= b[0, 1] <= a[0, 1]
+
+
+def test_symmetrized_rejects_asymmetry_past_the_float_range():
+    with pytest.raises(AsymmetricInput):
+        SymMatrix.symmetrized(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+
 def brute_off(a):
     s = 0.0
     for i in range(a.shape[0]):

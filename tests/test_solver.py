@@ -357,6 +357,13 @@ def test_result_permutation_maps_to_sorted_order(rng):
     assert np.all(np.diff(d) >= 0)
 
 
+def theta_overflow():
+    a = np.diag([0.0, 1.0, 1e10])
+    a[0, 1] = a[1, 0] = 1e3
+    a[0, 2] = a[2, 0] = 1e-300
+    return a
+
+
 # name -> (matrix, options, a status that some rank must end with)
 SOLVE_MANY_CASES = {
     "random-dd": (lambda: dio.gen_random_dd(20, 0.3, 1),
@@ -380,6 +387,10 @@ SOLVE_MANY_CASES = {
     # sweeps alone through sweep() for its last 23 sweeps.
     "lone-tail": (lambda: rand_sym(np.random.default_rng(1), 6),
                   SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
+    # theta = (a_22 - a_00) / (2 a_02) overflows: t = 0, with no warning in
+    # the batch either.
+    "theta-overflow": (theta_overflow,
+                       SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
 }
 
 
