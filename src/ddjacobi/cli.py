@@ -106,7 +106,7 @@ def cmd_full(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.sigma <= 0.0:
+    if not args.sigma > 0.0:
         raise _UsageError(f"--sigma must be positive, got {args.sigma}")
     if args.points:
         pc = dio.read_points_csv(args.points)
@@ -132,7 +132,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_track(args) -> int:
-    if args.c <= 0.0:
+    if not args.c > 0.0:
         raise _UsageError(f"--c must be positive, got {args.c}")
     A = dio.read_matrix(args.input)
     path = track(A, TrackerConfig(c=args.c))

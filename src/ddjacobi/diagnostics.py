@@ -83,11 +83,17 @@ def min_relative_gap(values) -> GapSet:
         raise SingleEigenvalue("need at least two eigenvalues for a gap")
     order = np.argsort(v)
     s = v[order]
-    den = np.abs(s[1:]) + np.abs(s[:-1])
+    if max(-s[0], s[-1]) < 2.0 ** 1023:  # else |x| + |y| may pass the float range
+        diff, den = s[1:] - s[:-1], np.abs(s[1:]) + np.abs(s[:-1])
+    else:  # pairs that overflow come from halved values, exact at that size
+        with np.errstate(over="ignore"):
+            diff, den = s[1:] - s[:-1], np.abs(s[1:]) + np.abs(s[:-1])
+        big, h = np.isinf(den), 0.5 * s
+        diff[big], den[big] = (h[1:] - h[:-1])[big], (np.abs(h[1:]) + np.abs(h[:-1]))[big]
     # r[i + 1]: gap of sorted neighbours i, i + 1 (zeros keep 0); inf pads.
     r = np.zeros(n + 1)
     r[0] = r[-1] = np.inf
-    np.divide(s[1:] - s[:-1], den, out=r[1:-1], where=den > 0.0)
+    np.divide(diff, den, out=r[1:-1], where=den > 0.0)
     gaps = np.empty(n)
     gaps[order] = np.minimum(r[:-1], r[1:])
     return GapSet(gamma=float(r.min()), gamma_j=gaps)

@@ -70,7 +70,7 @@ def step_length(gamma_hat: float, omega_frob: float, c: float, t: float) -> floa
     ("of order unity" for c = 1). A diagonal matrix (omega_frob == 0) steps
     straight to 1. Raises CollapsedGap when the gap is at or below the floor.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise InvalidOptions("step constant c must be positive")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t!r}")

@@ -81,133 +81,73 @@ def _numerically_symmetric(a: np.ndarray, what: str) -> SymMatrix:
         raise NotSymmetric(f"{what} is not numerically symmetric") from exc
 
 
-def _first(bad: np.ndarray) -> int:
-    """Index of the first True in ``bad``, or its length if there is none."""
-    return int(bad.argmax()) if bad.any() else bad.size
-
-
-class _Earliest:
-    """The earliest failing row of a block, found one check at a time.
-
-    Each check looks only at the rows before ``stop``, all of which passed
-    every earlier check, so the line and message kept are those at which a
-    row-by-row reader would have stopped. ``nos[k]`` is row k's line.
-    """
-
-    def __init__(self, nos: np.ndarray):
-        self.nos, self.stop, self.error = nos, len(nos), None
-
-    def cut(self, k: int, message) -> None:
-        """Row ``k`` fails; ``message(k)`` builds the text if it is the earliest."""
-        if k < self.stop:
-            self.stop, self.error = k, ParseError(int(self.nos[k]), message(k))
-
-    def fail(self, bad: np.ndarray, message) -> None:
-        """Rows marked in ``bad`` fail."""
-        self.cut(_first(bad[:self.stop]), message)
-
-    def raise_first(self) -> None:
-        if self.error is not None:
-            raise self.error
-
-
-def _convert(conv, toks) -> tuple[list, int]:
-    """``conv`` over ``toks``: the values before the first token it rejects
-    with ValueError, and that token's index (``len(toks)`` if none)."""
+def _bulk_floats(toks) -> np.ndarray | None:
+    """Python's ``float`` of every token, or None unless all are finite."""
     try:
-        return list(map(conv, toks)), len(toks)
+        vals = np.fromiter(map(float, toks), np.float64, len(toks))
     except ValueError:
-        vals = []
-        for tok in toks:
-            try:
-                vals.append(conv(tok))
-            except ValueError:
-                break
-        return vals, len(vals)
+        return None
+    return vals if np.isfinite(vals).all() else None
 
 
 def _floats(toks, nos) -> np.ndarray:
-    """Python's ``float`` of every token; the first that is no number or not
-    finite raises a ParseError on its line, ``nos[k]``."""
-    vals, k = _convert(float, toks)
-    check = _Earliest(nos)
-    check.cut(k, lambda k: f"bad number {toks[k]!r}")
-    vals = np.array(vals, dtype=np.float64)
-    check.fail(~np.isfinite(vals), lambda k: f"non-finite value {toks[k]!r}")
-    check.raise_first()
+    """Python's ``float`` of every token, in bulk or else one at a time, where
+    the first that is no finite number raises a ParseError on its line:
+    ``nos`` yields each token's line and is read only then."""
+    vals = _bulk_floats(toks)
+    if vals is None:
+        vals = np.array([_parse_float(t, no) for t, no in zip(toks, nos)])
     return vals
 
 
-def _indices(toks, check: _Earliest) -> np.ndarray:
-    """Python's ``int`` of every token before ``check.stop`` as int64; the
-    first token it rejects fails. Values beyond int64 read as 0, which is out
-    of range like them."""
-    vals, k = _convert(int, toks[:check.stop])
-    check.cut(k, lambda k: f"bad integer {toks[k]!r}")
-    try:
-        return np.array(vals, dtype=np.int64)
-    except OverflowError:
-        return np.array([v if -2**63 <= v < 2**63 else 0 for v in vals],
-                        dtype=np.int64)
-
-
-def _widths(lens: np.ndarray, nos, width: int, unit: str) -> _Earliest:
-    """A check over rows of ``lens`` tokens whose first failure is the first
-    row that does not hold ``width`` of them."""
-    check = _Earliest(nos)
-    check.fail(lens != width, lambda k: f"expected {width} {unit}, got {lens[k]}")
-    return check
-
-
-def _blocks(lines: list, nos: np.ndarray, width):
-    """Split body lines into token columns, ``_BLOCK`` lines at a time.
-
-    With a ``width`` every line is one row of that many fields, and a line of
-    another width is the check's first failure; with None (array bodies)
-    every token is a row of its own. Yields ``(columns, check)``, where
-    ``check.nos`` holds each row's line. Each block is split once more as one
-    string, so no list per line outlives its count.
-    """
-    for s in range(0, len(lines), _BLOCK):
-        block, block_nos = lines[s:s + _BLOCK], nos[s:s + _BLOCK]
-        lens = np.fromiter(map(len, map(str.split, block)), np.intp, len(block))
-        if width is None:
-            yield [" ".join(block).split()], _Earliest(np.repeat(block_nos, lens))
-        else:
-            check = _widths(lens, block_nos, width, "fields")
-            toks = " ".join(block[:check.stop]).split()
-            yield [toks[c::width] for c in range(width)], check
-
-
-def _place_entries(a: np.ndarray, seen: np.ndarray, cols: list,
-                   check: _Earliest, symmetric: bool) -> None:
-    """Check a block of coordinate entries in the order a row-by-row reader
-    would (integers, range, triangle, duplicates, values) and place them.
-    ``seen`` flags the linear indices placed by earlier blocks."""
+def _place_line(a: np.ndarray, seen: np.ndarray, line: str, no: int,
+                width: int, symmetric: bool) -> None:
+    """Place one coordinate line's entry, checking in order what makes a line
+    valid: ``width`` fields (2 for pattern entries, read as 1.0), two integers
+    in range, not above a symmetric file's diagonal, not yet in ``seen``, and
+    a finite value. The first check to fail raises a ParseError on line ``no``."""
+    toks = line.split()
+    if len(toks) != width:
+        raise ParseError(no, f"expected {width} fields, got {len(toks)}")
     n = a.shape[0]
-    ti, tj = cols[0], cols[1]
-    i = _indices(ti, check)
-    j = _indices(tj, check)
-    i, j = i[:check.stop], j[:check.stop]
-    check.fail((i < 1) | (i > n) | (j < 1) | (j > n),
-               lambda k: f"index ({int(ti[k])}, {int(tj[k])}) out of range")
+    i, j = _parse_int(toks[0], no), _parse_int(toks[1], no)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ParseError(no, f"index ({i}, {j}) out of range")
+    if symmetric and j > i:
+        raise ParseError(no, "entry above the diagonal in a symmetric file")
+    if seen[(i - 1) * n + j - 1]:
+        raise ParseError(no, f"duplicate entry ({i}, {j})")
+    seen[(i - 1) * n + j - 1] = True
+    val = _parse_float(toks[2], no) if width == 3 else 1.0
+    a[i - 1, j - 1] = val
     if symmetric:
-        check.fail(j > i, lambda k: "entry above the diagonal in a symmetric file")
-    i, j = i[:check.stop] - 1, j[:check.stop] - 1
-    key = i * n + j
-    again = np.ones(key.size, dtype=bool)
-    again[np.unique(key, return_index=True)[1]] = False
-    check.fail(seen[key] | again, lambda k: f"duplicate entry ({i[k] + 1}, {j[k] + 1})")
-    stop = check.stop
-    if len(cols) == 2:  # pattern entries carry no value
-        vals = np.ones(stop)
-    else:
-        vals = _floats(cols[2][:stop], check.nos[:stop])
-    check.raise_first()
+        a[j - 1, i - 1] = val
+
+
+def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
+                  symmetric: bool) -> bool:
+    """Place a block of coordinate lines if all pass the checks of
+    :func:`_place_line`, each made over the whole block at once, and say
+    whether it did. A block in doubt is left untouched."""
+    if set(map(len, map(str.split, block))) != {width}:
+        return False
+    toks = " ".join(block).split()  # lists kept per line would wake the cyclic GC
+    try:  # OverflowError: an index beyond int64
+        i, j = (np.array(list(map(int, toks[c::width])), np.int64) for c in (0, 1))
+    except (ValueError, OverflowError):
+        return False
+    n = a.shape[0]
+    key = (i - 1) * n + (j - 1)
+    ordered = np.sort(key)  # a repeated key sits next to its twin
+    vals = _bulk_floats(toks[2::width]) if width == 3 else np.ones(len(block))
+    if (((i < 1) | (i > n) | (j < 1) | (j > n)).any() or symmetric and (j > i).any()
+            or (ordered[1:] == ordered[:-1]).any() or seen[key].any() or vals is None):
+        return False
     seen[key] = True
-    a[i, j] = vals
+    a[i - 1, j - 1] = vals
     if symmetric:
-        a[j, i] = vals
+        a[j - 1, i - 1] = vals
+    return True
 
 
 def read_matrix_market(path) -> SymMatrix:
@@ -217,8 +157,9 @@ def read_matrix_market(path) -> SymMatrix:
     or ``pattern`` fields (pattern entries read as 1.0) and ``symmetric`` or
     ``general`` storage. General files must be numerically symmetric within
     4 * eps * max|entry|. Indices are 1-based; symmetric coordinate files
-    store the lower triangle. The body is converted in bulk with Python's
-    ``int`` and ``float``; an error names the first offending line.
+    store the lower triangle. Blocks of body lines go through Python's ``int``
+    and ``float`` in bulk; a block in doubt is read again line by line, where
+    the first offending line raises.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -280,13 +221,20 @@ def read_matrix_market(path) -> SymMatrix:
     except (MemoryError, ValueError):
         raise ParseError(size_no, f"order {n} is too large to allocate") from None
 
-    if fmt == "coordinate":
-        for cols, check in _blocks(entries, nos, 2 if fieldkind == "pattern" else 3):
-            _place_entries(a, seen, cols, check, symkind == "symmetric")
-    else:
-        vals = np.concatenate([_floats(cols[0], check.nos)
-                               for cols, check in _blocks(entries, nos, None)])
-        if symkind == "symmetric":
+    symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
+    vals = []
+    for s in range(0, len(entries), _BLOCK):
+        block, block_nos = entries[s:s + _BLOCK], nos[s:s + _BLOCK].tolist()
+        if fmt == "array":
+            vals.append(_floats(" ".join(block).split(), (
+                no for ln, no in zip(block, block_nos) for _ in ln.split())))
+        elif not _bulk_entries(a, seen, block, width, symmetric):
+            for line, no in zip(block, block_nos):
+                _place_line(a, seen, line, no, width, symmetric)
+
+    if fmt == "array":
+        vals = np.concatenate(vals)
+        if symmetric:
             # The column-major lower triangle is the row-major upper one.
             upper = np.triu_indices(n)
             a[upper] = vals
@@ -294,9 +242,7 @@ def read_matrix_market(path) -> SymMatrix:
         else:
             a[:] = np.reshape(vals, (n, n)).T
 
-    if symkind == "general":
-        return _numerically_symmetric(a, "general file")
-    return SymMatrix(a)
+    return SymMatrix(a) if symmetric else _numerically_symmetric(a, "general file")
 
 
 def write_matrix_market(path, A) -> None:
@@ -339,18 +285,19 @@ def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
 
 
 def _read_grid(rows: list[tuple[int, list[str]]]) -> np.ndarray:
-    """Parse numbered CSV rows into a float array. Each row's width is
-    checked before its cells, so errors name the first offending row."""
+    """Parse numbered CSV rows into a float array. Every row holds as many
+    cells as the first; the rows before the first that does not are read by
+    :func:`_floats`, so an error names the first offending row."""
     if not rows:
         raise ParseError(1, "no data rows")
     nos, cells = zip(*rows)
     width = len(cells[0])
-    check = _widths(np.fromiter(map(len, cells), np.intp, len(cells)),
-                    nos, width, "columns")
-    grid = _floats(list(chain.from_iterable(cells[:check.stop])),
-                   np.repeat(nos[:check.stop], width))
-    check.raise_first()
-    return grid.reshape(check.stop, width)
+    k = next((k for k, c in enumerate(cells) if len(c) != width), len(cells))
+    grid = _floats(list(chain.from_iterable(cells[:k])),
+                   (no for no in nos[:k] for _ in range(width)))
+    if k < len(cells):
+        raise ParseError(nos[k], f"expected {width} columns, got {len(cells[k])}")
+    return grid.reshape(k, width)
 
 
 def read_points_csv(path) -> PointCloud:

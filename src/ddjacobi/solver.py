@@ -394,9 +394,9 @@ def _check_options(n: int, ms, opts: SolveOptions) -> list[int]:
         if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
                 or not 1 <= m <= n):
             raise InvalidOptions(f"m must be an integer in [1, {n}], got {m!r}")
-    if opts.tol < 0.0:
+    if not opts.tol >= 0.0:
         raise InvalidOptions("tol must be nonnegative")
-    if opts.stop_rel < 0.0:
+    if not opts.stop_rel >= 0.0:
         raise InvalidOptions("stop_rel must be nonnegative")
     if opts.max_sweeps < 1:
         raise InvalidOptions("max_sweeps must be at least 1")

@@ -62,7 +62,7 @@ class ClusterResult:
 
 def gaussian_similarity(pc: PointCloud, sigma: float) -> SymMatrix:
     """w_ij = exp(-||x_i - x_j||_2 / (2 sigma^2)) with zero diagonal."""
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise InvalidOptions(f"sigma must be positive, got {sigma!r}")
     pts = pc.points
     n = pts.shape[0]

@@ -129,9 +129,17 @@ class TestUsageErrors:
         assert main(["cluster", "--points", "x.csv", "--sigma", "0"]) == 64
         capsys.readouterr()
 
+    def test_nan_sigma(self, capsys):
+        assert main(["cluster", "--points", "x.csv", "--sigma", "nan"]) == 64
+        assert "--sigma must be positive" in capsys.readouterr().err
+
     def test_bad_step_constant(self, capsys):
         assert main(["track", "--input", "x.mtx", "--c", "-1"]) == 64
         capsys.readouterr()
+
+    def test_nan_step_constant(self, capsys):
+        assert main(["track", "--input", "x.mtx", "--c", "nan"]) == 64
+        assert "--c must be positive" in capsys.readouterr().err
 
     def test_gen_needs_n(self, tmp_path, capsys):
         assert main(["gen", "--kind", "drk1", "--out", str(tmp_path / "o")]) == 64

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ class TestMinRelativeGap:
         gaps = min_relative_gap([0.0, 0.0, 3.0])
         assert gaps.gamma == 0.0
         assert gaps.gamma_j[0] == 0.0
+
+    @pytest.mark.parametrize("values, gamma", [
+        ([1.7e308, 1.6e308], 0.1 / 3.3), ([1.7e308, -1.7e308], 1.0)],
+        ids=["same-sign", "opposite-sign"])
+    def test_sums_past_the_float_range(self, values, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = min_relative_gap(values)
+        assert gaps.gamma == pytest.approx(gamma, rel=1e-15)
+        assert np.allclose(gaps.gamma_j, gamma, rtol=1e-15, atol=0.0)
+
+    def test_only_pairs_past_the_float_range_are_halved(self):
+        # Halved, 5e-324 and 1.5e-323 would round to 0 and 1e-323 (gap 1).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = min_relative_gap([1.7e308, 1.6e308, 5e-324, 1.5e-323])
+        assert gaps.gamma_j[2:].tolist() == [0.5, 0.5]
+        assert gaps.gamma == pytest.approx(0.1 / 3.3, rel=1e-15)
 
     def test_single_value_rejected(self):
         with pytest.raises(SingleEigenvalue):

@@ -44,6 +44,10 @@ class TestStepLength:
         with pytest.raises(ValueError):
             step_length(0.1, 1.0, 1.0, -0.2)
 
+    def test_nan_step_constant(self):
+        with pytest.raises(InvalidOptions):
+            step_length(0.1, 1.0, float("nan"), 0.0)
+
 
 def test_two_by_two_path_matches_eigh():
     a = np.array([[1.0, 0.3], [0.3, 2.0]])

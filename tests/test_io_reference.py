@@ -2,6 +2,7 @@
 their former per-entry versions, kept here as the reference: the same
 matrix, or the same exception type, line and message, and the same bytes."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -294,3 +295,77 @@ def test_writer_bytes_match_reference(tmp_path, k):
     dio.write_matrix_market(tmp_path / "new.mtx", A)
     reference_write(tmp_path / "ref.mtx", A)
     assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+
+def _valid_files(tmp_path):
+    """Valid files of every body kind the bulk checks accept."""
+    rng = np.random.default_rng(5)
+    out = []
+    for name, A in [("example1", dio.gen_example1()),
+                    ("random-dd50", dio.gen_random_dd(50, 0.005, 3)),
+                    ("drk1-63", dio.gen_diag_rank1(63))]:
+        dio.write_matrix_market(tmp_path / f"{name}.mtx", A)
+        out.append(tmp_path / f"{name}.mtx")
+    cells = [(i, j) for i in range(1, 31) for j in range(1, i + 1) if (i * j) % 3]
+    pattern = "\n".join(f"{i} {j}" for i, j in cells)
+    a = dio.gen_random_dd(30, 0.05, 7).a.tolist()
+    full = [f"{i + 1} {j + 1} {a[i][j]!r}" for i, j in rng.permutation(
+        [(i, j) for i in range(30) for j in range(30)])]
+    upper = " ".join(repr(a[i][j]) for j in range(30) for i in range(j, 30))
+    for name, text in [
+            ("pattern", f"coordinate pattern symmetric\n30 30 {len(cells)}\n{pattern}"),
+            ("general", "coordinate real general\n% shuffled\n30 30 900\n"
+                        + "\n".join(full)),
+            ("array", f"array real symmetric\n30 30\n{upper}")]:
+        (tmp_path / f"{name}.mtx").write_text(
+            f"%%MatrixMarket matrix {text}\n", encoding="utf-8")
+        out.append(tmp_path / f"{name}.mtx")
+    return out
+
+
+@contextlib.contextmanager
+def per_line():
+    """Make every bulk check defer: coordinate blocks go to the per-line
+    checks, and float tokens are parsed one at a time. Yields the mock that
+    stands in for the bulk test of coordinate blocks."""
+    with mock.patch.object(dio, "_bulk_entries", return_value=False) as deferred, \
+            mock.patch.object(dio, "_bulk_floats", return_value=None):
+        yield deferred
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_per_line_path_reads_valid_files_to_the_same_bytes(tmp_path, block):
+    files = _valid_files(tmp_path)
+    with mock.patch.object(dio, "_BLOCK", block):
+        bulk = [outcome(dio.read_matrix_market, p) for p in files]
+        with per_line() as deferred:
+            lines = [outcome(dio.read_matrix_market, p) for p in files]
+    assert deferred.call_count > 0
+    assert lines == bulk == [outcome(reference_read, p) for p in files]
+    assert all(not isinstance(o[0], type) for o in bulk)  # every file read
+    rows = [(no, [repr(x) for x in row])
+            for no, row in enumerate(dio.gen_example1().a.tolist(), start=2)]
+    with per_line():
+        assert outcome(dio._read_grid, rows) == outcome(reference_grid, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mtx_texts(), block=st.sampled_from([1, 2, 3, 4096]))
+def test_per_line_reader_matches_reference(scratch, text, block):
+    scratch.write_text(text, encoding="utf-8")
+    with mock.patch.object(dio, "_BLOCK", block), per_line():
+        got = outcome(dio.read_matrix_market, scratch)
+    assert got == outcome(reference_read, scratch)
+
+
+@pytest.mark.parametrize("field, body", [
+    ("real", ["1 1 2", "2 2", "3 3 4 1"]),  # as many tokens as three valid lines
+    ("pattern", ["1 1 1", "2"]),
+    ("real", ["1 1"]),
+], ids=["real-shifted", "pattern-shifted", "real-short"])
+def test_lines_of_another_width_match_reference(scratch, field, body):
+    scratch.write_text(f"%%MatrixMarket matrix coordinate {field} general\n"
+                       f"4 4 {len(body)}\n" + "\n".join(body) + "\n", encoding="utf-8")
+    got = outcome(dio.read_matrix_market, scratch)
+    assert got == outcome(reference_read, scratch)
+    assert got[0] is ParseError

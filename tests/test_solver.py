@@ -221,6 +221,13 @@ class TestSolveOptionsValidation:
         with pytest.raises(InvalidOptions):
             solve(a, SolveOptions(m=1, max_sweeps=0))
 
+    @pytest.mark.parametrize("field", ["tol", "stop_rel"])
+    def test_nan_scalars(self, field):
+        # A NaN compares false both ways, so only `not x >= 0` rejects it.
+        a = dio.gen_random_dd(30, 0.05, 0)
+        with pytest.raises(InvalidOptions):
+            solve(a, replace(SolveOptions(m=15), **{field: float("nan")}))
+
     def test_asymmetric_input(self, rng):
         a = rand_sym(rng, 4)
         a[0, 1] += 0.1

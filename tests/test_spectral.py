@@ -55,7 +55,7 @@ class TestGaussianSimilarity:
                 assert W.a[i, j] == pytest.approx(np.exp(-d / (2 * 1.3**2)), rel=1e-12)
         assert np.array_equal(W.a, W.a.T)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
     def test_sigma_validation(self, rng, sigma):
         pc = two_blobs(rng, per_side=3)
         with pytest.raises(InvalidOptions):
