@@ -68,13 +68,16 @@ def step_length(gamma_hat: float, omega_frob: float, c: float, t: float) -> floa
 
     Keeps the perturbation s * ||Omega||_F at most c times the current gap
     ("of order unity" for c = 1). A diagonal matrix (omega_frob == 0) steps
-    straight to 1. Raises CollapsedGap when the gap is at or below the floor.
+    straight to 1. Raises CollapsedGap when the gap is NaN or at most the
+    floor, and ValueError when omega_frob is NaN or negative.
     """
     if not c > 0.0:
         raise InvalidOptions("step constant c must be positive")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t!r}")
-    if gamma_hat <= GAP_FLOOR:
+    if not omega_frob >= 0.0:
+        raise ValueError(f"omega_frob must be non-negative, got {omega_frob!r}")
+    if not gamma_hat > GAP_FLOOR:
         raise CollapsedGap(
             f"relative gap {gamma_hat:.3e} at t = {t:.6g} is below the floor"
         )

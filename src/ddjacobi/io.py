@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import warnings
 from dataclasses import astuple, dataclass
 from itertools import chain, compress
 
@@ -32,7 +33,8 @@ __all__ = ["HistoryRow", "read_matrix_market", "write_matrix_market",
            "gen_random_dd"]
 
 HISTORY_HEADER = "sweep,off_row_m,off_total,a_mm,alpha,err_vs_ref"
-_BLOCK = 4096  # body lines tokenized at once, bounding the live token lists
+_BLOCK = 4096  # body lines parsed at once, bounding the live arrays
+_ENTRY = {3: np.dtype("i8,i8,f8"), 2: np.dtype("i8,i8")}  # by fields per line
 _SKIPPED = {"", "%"}.__contains__  # first character of a blank or % line
 
 
@@ -128,20 +130,22 @@ def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
                   symmetric: bool) -> bool:
     """Place a block of coordinate lines if all pass the checks of
     :func:`_place_line`, each made over the whole block at once, and say
-    whether it did. A block in doubt is left untouched."""
-    if set(map(len, map(str.split, block))) != {width}:
-        return False
-    toks = " ".join(block).split()  # lists kept per line would wake the cyclic GC
-    try:  # OverflowError: an index beyond int64
-        i, j = (np.array(list(map(int, toks[c::width])), np.int64) for c in (0, 1))
-    except (ValueError, OverflowError):
-        return False
+    whether it did. A block that numpy's C reader rejects, warns about or
+    reads short is in doubt, and a block in doubt is left untouched."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            i, j, *vals = np.loadtxt(block, _ENTRY[width], comments=None, ndmin=1,
+                                     unpack=True)
+        except (ValueError, Warning):
+            return False
     n = a.shape[0]
     key = (i - 1) * n + (j - 1)
     ordered = np.sort(key)  # a repeated key sits next to its twin
-    vals = _bulk_floats(toks[2::width]) if width == 3 else np.ones(len(block))
-    if (((i < 1) | (i > n) | (j < 1) | (j > n)).any() or symmetric and (j > i).any()
-            or (ordered[1:] == ordered[:-1]).any() or seen[key].any() or vals is None):
+    vals = vals[0] if vals else np.ones(len(block))
+    if (len(i) != len(block) or ((i < 1) | (i > n) | (j < 1) | (j > n)).any()
+            or symmetric and (j > i).any() or (ordered[1:] == ordered[:-1]).any()
+            or seen[key].any() or not np.isfinite(vals).all()):
         return False
     seen[key] = True
     a[i - 1, j - 1] = vals
@@ -157,9 +161,9 @@ def read_matrix_market(path) -> SymMatrix:
     or ``pattern`` fields (pattern entries read as 1.0) and ``symmetric`` or
     ``general`` storage. General files must be numerically symmetric within
     4 * eps * max|entry|. Indices are 1-based; symmetric coordinate files
-    store the lower triangle. Blocks of body lines go through Python's ``int``
-    and ``float`` in bulk; a block in doubt is read again line by line, where
-    the first offending line raises.
+    store the lower triangle. Blocks of coordinate lines go through numpy's
+    C reader in bulk; a block in doubt is read again line by line with
+    Python's ``int`` and ``float``, where the first offending line raises.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -181,14 +185,13 @@ def read_matrix_market(path) -> SymMatrix:
         raise ParseError(1, "array format cannot carry a pattern field")
 
     # Body lines and their 1-based numbers: blank and % lines (the banner
-    # among them) are dropped by their first character.
-    text = list(map(str.lstrip, lines))
-    keep = list(map(operator.not_, map(
-        _SKIPPED, map(operator.itemgetter(slice(1)), text))))
-    body = list(compress(text, keep))
+    # among them) are dropped by their first non-blank character.
+    keep = list(map(operator.not_, map(_SKIPPED, map(
+        operator.itemgetter(slice(1)), map(str.lstrip, lines)))))
+    body = list(compress(lines, keep))
     if not body:
         raise ParseError(len(lines), "missing size line")
-    nos = np.flatnonzero(keep) + 1
+    nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + 1
 
     size_no = int(nos[0])
     toks = body[0].split()
@@ -224,7 +227,7 @@ def read_matrix_market(path) -> SymMatrix:
     symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
     vals = []
     for s in range(0, len(entries), _BLOCK):
-        block, block_nos = entries[s:s + _BLOCK], nos[s:s + _BLOCK].tolist()
+        block, block_nos = entries[s:s + _BLOCK], map(int, nos[s:s + _BLOCK])
         if fmt == "array":
             vals.append(_floats(" ".join(block).split(), (
                 no for ln, no in zip(block, block_nos) for _ in ln.split())))
@@ -246,17 +249,21 @@ def read_matrix_market(path) -> SymMatrix:
 
 
 def write_matrix_market(path, A) -> None:
-    """Write the lower triangle as coordinate/real/symmetric, losslessly."""
+    """Write the lower triangle as coordinate/real/symmetric, losslessly.
+    Only the floats are formatted; the indices come from a table of n strings."""
     a = A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=np.float64)
     n = a.shape[0]
     rows, cols = np.tril_indices(n)
     vals = a[rows, cols]
     keep = vals != 0.0
+    index = list(map("{} ".format, range(1, n + 1)))
+    pairs = map(operator.add, map(index.__getitem__, rows[keep].tolist()),
+                map(index.__getitem__, cols[keep].tolist()))
+    lines = map(operator.add, pairs, map(repr, vals[keep].tolist()))
+    head = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {keep.sum()}"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{n} {n} {np.count_nonzero(keep)}\n")
-        fh.write("".join(map("{} {} {!r}\n".format, (rows[keep] + 1).tolist(),
-                             (cols[keep] + 1).tolist(), vals[keep].tolist())))
+        fh.write("\n".join(chain([head], lines)))
+        fh.write("\n")
 
 
 def read_matrix(path) -> SymMatrix:

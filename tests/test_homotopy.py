@@ -48,6 +48,15 @@ class TestStepLength:
         with pytest.raises(InvalidOptions):
             step_length(0.1, 1.0, float("nan"), 0.0)
 
+    def test_nan_gap_collapses(self):
+        with pytest.raises(CollapsedGap):
+            step_length(float("nan"), 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("omega_frob", [float("nan"), -1.0])
+    def test_bad_omega_norm(self, omega_frob):
+        with pytest.raises(ValueError):
+            step_length(0.1, omega_frob, 1.0, 0.0)
+
 
 def test_two_by_two_path_matches_eigh():
     a = np.array([[1.0, 0.3], [0.3, 2.0]])

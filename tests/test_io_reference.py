@@ -4,6 +4,7 @@ matrix, or the same exception type, line and message, and the same bytes."""
 
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -297,6 +298,13 @@ def test_writer_bytes_match_reference(tmp_path, k):
     assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_writer_bytes_of_a_zero_matrix_match_reference(tmp_path, n):
+    dio.write_matrix_market(tmp_path / "new.mtx", -np.zeros((n, n)))
+    reference_write(tmp_path / "ref.mtx", -np.zeros((n, n)))
+    assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+
 def _valid_files(tmp_path):
     """Valid files of every body kind the bulk checks accept."""
     rng = np.random.default_rng(5)
@@ -369,3 +377,95 @@ def test_lines_of_another_width_match_reference(scratch, field, body):
     got = outcome(dio.read_matrix_market, scratch)
     assert got == outcome(reference_read, scratch)
     assert got[0] is ParseError
+
+
+# Tokens that numpy's text reader and Python's int/float read differently,
+# each on one line of an otherwise valid 12 x 12 lower-triangle file:
+# (id, line, whether the file is valid).
+DISAGREEING = [
+    ("underscore-index", "1_0 1 0.5", True),
+    ("underscore-value", "10 1 1_0", True),
+    ("arabic-indic-index", "\u0661\u0660 \u0661 0.5", True),
+    ("arabic-indic-value", "10 1 \u0662", True),
+    ("signed-and-padded", "+10 01 -0", True),
+    ("minus-zero-index", "10 -0 0.5", False),
+    ("index-past-int64", "99999999999999999999 1 0.5", False),
+    ("index-at-int64-min", "-9223372036854775808 1 0.5", False),
+    ("infinity", "10 1 infinity", False),
+    ("overflow", "10 1 1e999", False),
+    ("hash-in-token", "10 1 0.5#x", False),
+    ("hash-comment", "10 1 0.5 # note", False),
+    ("percent-in-token", "10 1 0.5%x", False),
+    ("percent-comment", "10 1 0.5 % note", False),
+    ("em-space", "10\u20031\u20030.5", True),
+    ("no-break-space", "10\xa01\xa00.5", True),
+    ("next-line", "10 1\x850.5", False),  # a line break to splitlines
+    ("file-separator", "10 1\x1c0.5", False),  # likewise
+    ("zero-width-space", "10\u200b1 0.5", False),  # not whitespace
+    ("zero-width-space-value", "10 1 0.5\u200b", False),
+]
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+@pytest.mark.parametrize("line, valid", [c[1:] for c in DISAGREEING],
+                         ids=[c[0] for c in DISAGREEING])
+def test_tokens_the_parsers_disagree_on(tmp_path, line, valid, block):
+    body = "\n".join(["1 1 1.0", "12 12 12.0", line, "5 3 0.25"])
+    p = tmp_path / "t.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                 f"12 12 {len(body.splitlines())}\n{body}\n", encoding="utf-8")
+    with mock.patch.object(dio, "_BLOCK", block):
+        got = outcome(dio.read_matrix_market, p)
+        with per_line():
+            lines = outcome(dio.read_matrix_market, p)
+    assert got == lines == outcome(reference_read, p)
+    assert (not isinstance(got[0], type)) == valid
+
+
+FINITE_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, np.uint64).view(np.float64))).filter(math.isfinite)
+EXTREMES = st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), data=st.data(), block=st.sampled_from([1, 7, 4096]))
+def test_bulk_parse_rounds_like_float(scratch, n, data, block):
+    vals = data.draw(st.lists(st.one_of(FINITE_BITS, EXTREMES, st.floats(
+        allow_nan=False, allow_infinity=False)), min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2))
+    a = np.zeros((n, n))
+    a[np.tril_indices(n)] = vals
+    a = a + np.tril(a, -1).T + 0.0  # + 0.0: -0.0 is not written, and reads back as 0.0
+    dio.write_matrix_market(scratch, a)
+    with mock.patch.object(dio, "_BLOCK", block), \
+            mock.patch.object(dio, "_place_line", wraps=dio._place_line) as place:
+        back = dio.read_matrix_market(scratch)
+    assert place.call_count == 0
+    assert back.a.tobytes() == a.tobytes()
+
+
+def _short(loadtxt, *args, **kwargs):
+    return [column[:-1] for column in loadtxt(*args, **kwargs)]
+
+
+def _warns(loadtxt, *args, **kwargs):
+    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                  DeprecationWarning)
+    return loadtxt(*args, **kwargs)
+
+
+@pytest.mark.parametrize("doubt", [_short, _warns], ids=["short", "warns"])
+def test_block_numpy_reads_in_doubt_goes_line_by_line(scratch, doubt):
+    # numpy skips lines it reads as blank, and older numpy read "1.0" as the
+    # integer 1 with a DeprecationWarning, which the default filters hide.
+    loadtxt = np.loadtxt
+    scratch.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "3 3 3\n1 1 1.0\n2 1 0.5\n3 3 3.0\n", encoding="utf-8")
+    with warnings.catch_warnings(), \
+            mock.patch.object(np, "loadtxt", lambda *a, **k: doubt(loadtxt, *a, **k)), \
+            mock.patch.object(dio, "_place_line", wraps=dio._place_line) as place:
+        warnings.simplefilter("ignore")
+        got = outcome(dio.read_matrix_market, scratch)
+    assert place.call_count == 3
+    assert got == outcome(reference_read, scratch)
