@@ -7,7 +7,7 @@ be carried to completion (iteration budgets, collapsed gaps).
 """
 
 __all__ = ["InputError", "NumericalError", "AsymmetricInput", "ZeroDiagonal",
-           "InvalidOptions", "VectorNotAccumulated", "SingleEigenvalue",
+           "InvalidOptions", "SingleEigenvalue",
            "BothZero", "DegenerateGapHat", "InsufficientHistory",
            "NonpositiveValues", "BoundUndefined", "IsolatedVertex",
            "ParseError", "NotSymmetric", "UnsupportedField", "NoConvergence",
@@ -36,10 +36,6 @@ class ZeroDiagonal(InputError):
 
 class InvalidOptions(InputError):
     """Solver or tracker options are out of range for the given matrix."""
-
-
-class VectorNotAccumulated(InputError):
-    """Eigenvector requested from a run that did not accumulate rotations."""
 
 
 class SingleEigenvalue(InputError):

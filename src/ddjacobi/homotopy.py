@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CollapsedGap, InvalidOptions, StepLimit, TrackerStalled
 from .diagnostics import min_relative_gap
 from .matcore import SymMatrix, as_symmatrix, frob_norm, omega
-from .solver import SolveOptions, SolveStatus, solve_many
+from .solver import SolveOptions, SolveStatus, _is_int, solve_many
 
 __all__ = ["GAP_FLOOR", "TrackerConfig", "HomotopyStep", "HomotopyPath",
            "step_length", "track"]
@@ -69,14 +69,14 @@ def step_length(gamma_hat: float, omega_frob: float, c: float, t: float) -> floa
     Keeps the perturbation s * ||Omega||_F at most c times the current gap
     ("of order unity" for c = 1). A diagonal matrix (omega_frob == 0) steps
     straight to 1. Raises CollapsedGap when the gap is NaN or at most the
-    floor, and ValueError when omega_frob is NaN or negative.
+    floor, and ValueError when omega_frob is NaN, infinite or negative.
     """
     if not c > 0.0:
         raise InvalidOptions("step constant c must be positive")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t!r}")
-    if not omega_frob >= 0.0:
-        raise ValueError(f"omega_frob must be non-negative, got {omega_frob!r}")
+    if not 0.0 <= omega_frob < np.inf:
+        raise ValueError(f"omega_frob must be finite and non-negative, got {omega_frob!r}")
     if not gamma_hat > GAP_FLOOR:
         raise CollapsedGap(
             f"relative gap {gamma_hat:.3e} at t = {t:.6g} is below the floor"
@@ -104,8 +104,8 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     the step.
     """
     cfg = cfg if cfg is not None else TrackerConfig()
-    if cfg.max_steps < 1:
-        raise InvalidOptions("max_steps must be at least 1")
+    if not _is_int(cfg.max_steps) or cfg.max_steps < 1:
+        raise InvalidOptions(f"max_steps must be an integer >= 1, got {cfg.max_steps!r}")
     if not cfg.c > 0.0:
         raise InvalidOptions("step constant c must be positive")
     M = as_symmatrix(A)

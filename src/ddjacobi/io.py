@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import alpha
 from .errors import AsymmetricInput, NotSymmetric, ParseError, UnsupportedField
-from .matcore import SymMatrix
+from .matcore import SymMatrix, as_symmatrix
 from .solver import SweepRecord
 from .spectral import PointCloud
 
@@ -251,7 +251,7 @@ def read_matrix_market(path) -> SymMatrix:
 def write_matrix_market(path, A) -> None:
     """Write the lower triangle as coordinate/real/symmetric, losslessly.
     Only the floats are formatted; the indices come from a table of n strings."""
-    a = A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=np.float64)
+    a = as_symmatrix(A).a
     n = a.shape[0]
     rows, cols = np.tril_indices(n)
     vals = a[rows, cols]

@@ -20,7 +20,6 @@ from .errors import AsymmetricInput, ZeroDiagonal
 __all__ = [
     "EPS",
     "SymMatrix",
-    "ScaledView",
     "Permutation",
     "as_symmatrix",
     "off_norm",
@@ -69,32 +68,27 @@ class SymMatrix:
         return m
 
     @classmethod
-    def symmetrized(cls, entries, atol: float | None = None) -> "SymMatrix":
+    def symmetrized(cls, entries) -> "SymMatrix":
         """Build from nearly symmetric data.
 
         The package's one numerical-symmetry rule, for arrays and files
         alike: each asymmetry |a_ij - a_ji| up to its entry's allowance is
         averaged away exactly; anything larger raises :class:`AsymmetricInput`.
-        The allowance is ``atol`` when given. By default it is
-        ``4*eps*sqrt|a_ii*a_jj|``, that is 4*eps in the units of the scaled
-        matrix, so a graded matrix cannot average away the sign of a small
-        entry; where a_ii or a_jj is zero it is ``4*eps*max|a_ij|``, which
-        also caps the scaled value (rounding can lift that an ulp above).
+        The allowance is ``4*eps*sqrt|a_ii*a_jj|``, that is 4*eps in the units
+        of the scaled matrix, so a graded matrix cannot average away the sign
+        of a small entry; where a_ii or a_jj is zero it is ``4*eps*max|a_ij|``,
+        which also caps the scaled value (rounding can lift that an ulp above).
         """
         a = _square_finite(entries)
         # An asymmetry past the float range reads inf, above any finite allowance.
         with np.errstate(over="ignore"):
             diff = np.abs(a - a.T)
-        asymmetric = diff.any()
-        if atol is not None:
-            limit = np.full_like(diff, atol)
-        elif asymmetric:
-            d = np.sqrt(np.abs(a.diagonal()))
-            scale = np.outer(d, d)
-            scale[scale == 0.0] = np.inf
-            limit = 4.0 * EPS * np.minimum(scale, float(np.abs(a).max()))
-        else:  # exactly symmetric input skips the O(n^2) allowance
+        if not diff.any():  # exactly symmetric input skips the O(n^2) allowance
             return cls._wrap(a)
+        d = np.sqrt(np.abs(a.diagonal()))
+        scale = np.outer(d, d)
+        scale[scale == 0.0] = np.inf
+        limit = 4.0 * EPS * np.minimum(scale, float(np.abs(a).max()))
         bad = diff > limit
         if bad.any():
             i, j = np.unravel_index(bad.argmax(), bad.shape)
@@ -103,15 +97,7 @@ class SymMatrix:
                 f"allowance {limit[i, j]:.3e}"
             )
         # Halving first cannot overflow, and is exact above the subnormals.
-        return cls._wrap(0.5 * a + 0.5 * a.T if asymmetric else a)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls._wrap(np.eye(n))
-
-    @classmethod
-    def diagonal(cls, values) -> "SymMatrix":
-        return cls._wrap(np.diag(np.asarray(values, dtype=np.float64)))
+        return cls._wrap(0.5 * a + 0.5 * a.T)
 
     @property
     def n(self) -> int:
@@ -126,20 +112,6 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n})"
-
-
-class ScaledView(SymMatrix):
-    """The scaled matrix H = |D|^{-1/2} A |D|^{-1/2}; diagonal is exactly ±1.
-
-    ``scale`` holds the vector |a_ii|^{-1/2} that produced the view.
-    """
-
-    __slots__ = ("scale",)
-
-    def copy(self) -> "ScaledView":
-        view = ScaledView._wrap(self.a.copy())
-        view.scale = self.scale.copy()
-        return view
 
 
 def as_symmatrix(m) -> SymMatrix:
@@ -174,7 +146,15 @@ def off_row(A, i: int) -> float:
 
 
 def frob_norm(A) -> float:
-    return float(np.linalg.norm(_entries(A)))
+    """Frobenius norm. Where the plain sum of squares overflows, the entries
+    are divided by max|a_ij| first; inf only when the norm itself overflows."""
+    a = _entries(A)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf:
+        s = float(np.abs(a).max())
+        norm = s * float(np.linalg.norm(a / s))
+    return norm
 
 
 def omega(A) -> SymMatrix:
@@ -184,7 +164,7 @@ def omega(A) -> SymMatrix:
     return SymMatrix._wrap(om)
 
 
-def scaled(A) -> ScaledView:
+def scaled(A) -> SymMatrix:
     """Diagonal scaling H = |D|^{-1/2} A |D|^{-1/2}.
 
     h_ij = a_ij / sqrt(|a_ii| |a_jj|) off the diagonal and h_ii = sign(a_ii)
@@ -198,9 +178,7 @@ def scaled(A) -> ScaledView:
     dh = 1.0 / np.sqrt(np.abs(d))
     h = a * np.outer(dh, dh)
     np.fill_diagonal(h, np.sign(d))
-    view = ScaledView._wrap(h)
-    view.scale = dh
-    return view
+    return SymMatrix._wrap(h)
 
 
 @dataclass(frozen=True)
@@ -216,27 +194,11 @@ class Permutation:
             raise ValueError("indices are not a permutation of 0..n-1")
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.indices)
-        inv[self.indices] = np.arange(self.indices.size)
-        return Permutation(inv)
-
     def apply(self, A) -> SymMatrix:
         """Symmetric reordering A(p, p)."""
         a = _entries(A)
         idx = self.indices
         return SymMatrix._wrap(a[np.ix_(idx, idx)])
-
-    def gather(self, v) -> np.ndarray:
-        """Carry a vector into the permuted ordering: out[i] = v[idx[i]]."""
-        return np.asarray(v)[self.indices]
 
     def scatter(self, v) -> np.ndarray:
         """Carry a vector back to the original ordering: out[idx[i]] = v[i]."""

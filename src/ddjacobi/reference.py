@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import InputError, NoConvergence
 from .matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
 
 __all__ = ["EigDecomposition", "full_jacobi"]
@@ -60,6 +60,8 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposi
     M = as_symmatrix(A)
     n, N = M.n, M.n + M.n % 2
     frob0 = frob_norm(M)
+    if frob0 == math.inf:
+        raise InputError("the Frobenius norm of the matrix overflows")
     target = math.sqrt(EPS) * frob0
     # |a_pq| >= gate rotates; the floor keeps exact zeros still at threshold 0
     gate = max(threshold * frob0 / n, math.ulp(0.0))

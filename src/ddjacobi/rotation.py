@@ -18,23 +18,7 @@ import numpy as np
 
 from .matcore import SymMatrix
 
-__all__ = ["Rotation2", "Schur2Result", "jacobi_angle", "schur2",
-           "apply_two_sided", "apply_right"]
-
-
-@dataclass(frozen=True)
-class Rotation2:
-    """Plane rotation [[c, s], [-s, c]] with c >= 0 (inner angle)."""
-
-    c: float
-    s: float
-
-    @property
-    def tan(self) -> float:
-        return self.s / self.c
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.c, self.s], [-self.s, self.c]])
+__all__ = ["Schur2Result", "schur2", "apply_two_sided", "apply_right"]
 
 
 @dataclass(frozen=True)
@@ -46,9 +30,11 @@ class Schur2Result:
 
 
 def _tangent_cs(a_pp: float, a_pq: float, a_qq: float) -> tuple[float, float, float]:
-    """Scalar core of jacobi_angle, schur2 and the solver's sweep loop.
+    """Scalar core of schur2 and the solver's sweep loop.
 
-    Returns (c, s, t) for the annihilating rotation with |t| <= 1. Takes
+    Returns (c, s, t) for the annihilating rotation [[c, s], [-s, c]] with
+    |t| <= 1, so c > 0 and the angle lies in [-pi/4, pi/4]. a_pq == 0 gives
+    the identity; ties (a_pp == a_qq) take t = 1, the +pi/4 angle. Takes
     Python floats: theta overflows to inf, giving t = 0, without the
     RuntimeWarning that numpy scalars raise.
     """
@@ -63,20 +49,10 @@ def _tangent_cs(a_pp: float, a_pq: float, a_qq: float) -> tuple[float, float, fl
     return c, t * c, t
 
 
-def jacobi_angle(a_pp: float, a_pq: float, a_qq: float) -> Rotation2:
-    """Rotation with angle in [-pi/4, pi/4] annihilating the off-diagonal pair.
-
-    Returns the identity when a_pq == 0; ties (a_pp == a_qq) take t = 1,
-    i.e. the +pi/4 angle, so the sign of tan matches the sign of a_pq.
-    """
-    c, s, _ = _tangent_cs(float(a_pp), float(a_pq), float(a_qq))
-    return Rotation2(c, s)
-
-
 def schur2(b11: float, b12: float, b22: float) -> Schur2Result:
     """Schur decomposition of [[b11, b12], [b12, b22]] with ascending diagonal.
 
-    The rotation of :func:`jacobi_angle` plus a conditional column swap when
+    The rotation of ``_tangent_cs`` plus a conditional column swap when
     the rotated diagonal comes out descending, so the first column of U
     always pairs with the smaller eigenvalue.
     """

@@ -22,3 +22,9 @@ def rand_sym(rng, n, scale=1.0):
     """Symmetrized standard-normal matrix (exactly symmetric by averaging)."""
     x = rng.standard_normal((n, n)) * scale
     return (x + x.T) / 2.0
+
+
+# Finite entries whose Frobenius norm (3.2e308) and off-diagonal norm (2e308)
+# both overflow.
+NORM_OVERFLOWS = np.array([[1e308, 1e308, 0.0], [1e308, 1.5e308, 1e308],
+                           [0.0, 1e308, 1.7e308]])

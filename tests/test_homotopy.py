@@ -17,6 +17,7 @@ from ddjacobi import (
     track,
 )
 import ddjacobi.io as dio
+from conftest import NORM_OVERFLOWS
 
 
 class TestStepLength:
@@ -52,7 +53,7 @@ class TestStepLength:
         with pytest.raises(CollapsedGap):
             step_length(float("nan"), 1.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("omega_frob", [float("nan"), -1.0])
+    @pytest.mark.parametrize("omega_frob", [float("nan"), -1.0, float("inf")])
     def test_bad_omega_norm(self, omega_frob):
         with pytest.raises(ValueError):
             step_length(0.1, omega_frob, 1.0, 0.0)
@@ -203,6 +204,19 @@ def test_config_validation():
     A = dio.gen_random_dd(4, 0.1, seed=0)
     with pytest.raises(InvalidOptions):
         track(A, TrackerConfig(max_steps=0))
+
+
+def test_overflowing_off_norm_is_rejected():
+    # ||Omega||_F = 2e308 overflows; an infinite norm made every step 0.
+    with pytest.raises(ValueError, match="omega_frob"):
+        track(NORM_OVERFLOWS)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 2.5, 2.0, True])
+def test_max_steps_is_an_integer(budget):
+    # NaN used to switch the step limit off, and 2.5 acted as 3.
+    with pytest.raises(InvalidOptions):
+        track(dio.gen_random_dd(4, 0.1, seed=0), TrackerConfig(max_steps=budget))
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])

@@ -319,6 +319,21 @@ class TestWriteMatrixMarket:
         assert lines[1] == "3 3 3"
         assert np.array_equal(dio.read_matrix_market(p).to_array(), a)
 
+    def test_nonfinite_array_is_rejected_before_writing(self, tmp_path):
+        # It used to write "2 1 nan", which the reader rejects.
+        p = tmp_path / "nan.mtx"
+        with pytest.raises(ValueError, match="finite"):
+            dio.write_matrix_market(p, np.array([[1.0, np.nan], [np.nan, 2.0]]))
+        assert not p.exists()
+
+    def test_asymmetric_array_is_rejected_before_writing(self, tmp_path):
+        # It used to keep the lower triangle: [[1, 5], [-5, 2]] read back
+        # as [[1, -5], [-5, 2]].
+        p = tmp_path / "asym.mtx"
+        with pytest.raises(AsymmetricInput):
+            dio.write_matrix_market(p, np.array([[1.0, 5.0], [-5.0, 2.0]]))
+        assert not p.exists()
+
     def test_empty_matrix_body(self, tmp_path):
         p = tmp_path / "one.mtx"
         dio.write_matrix_market(p, np.array([[0.0]]))

@@ -276,15 +276,22 @@ def test_csv_grid_matches_reference(rows, gaps):
     assert outcome(dio._read_grid, numbered) == outcome(reference_grid, numbered)
 
 
+def _mirrored(a):
+    """a's lower triangle, copied bit for bit into the upper one."""
+    return np.where(np.tri(len(a), dtype=bool), a, a.T)
+
+
 def _matrices():
+    # The writer checks an array as the library checks any array, so each
+    # random lower triangle is mirrored into an exactly symmetric matrix.
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 40):
         a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-300, 300, (n, n))
         a[rng.random((n, n)) < 0.3] = 0.0
         a[rng.random((n, n)) < 0.1] = -0.0
         a[rng.random((n, n)) < 0.1] = 5e-324
-        yield a
-        yield rng.integers(-3, 4, (n, n)).astype(float)
+        yield _mirrored(a)
+        yield _mirrored(rng.integers(-3, 4, (n, n)).astype(float))
     yield dio.gen_example1()
     yield dio.gen_random_dd(50, 0.005, 3)
     yield dio.gen_diag_rank1(63)

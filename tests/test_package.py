@@ -30,3 +30,24 @@ def test_errors_all_lists_every_exception_class():
                if inspect.isclass(obj) and issubclass(obj, Exception)
                and obj.__module__ == errors.__name__}
     assert sorted(errors.__all__) == sorted(classes)
+
+
+def test_public_surface_is_pinned():
+    # Any change to the surface shows up here.
+    assert sorted(dj.__all__) == [
+        "AsymmetricInput", "BothZero", "BoundUndefined", "ClusterResult",
+        "CollapsedGap", "DegenerateGapHat", "DiagnosticsReport", "EPS",
+        "EigDecomposition", "EigenpairResult", "GAP_FLOOR", "GapSet",
+        "HomotopyPath", "HomotopyStep", "InputError", "InsufficientHistory",
+        "InvalidOptions", "IsolatedVertex", "NoConvergence", "NonpositiveValues",
+        "NotSymmetric", "NumericalError", "ParseError", "Permutation",
+        "PointCloud", "STOP_REL_DEFAULT", "Schur2Result", "SingleEigenvalue",
+        "SolveOptions", "SolveStatus", "StepLimit", "SweepRecord", "SymMatrix",
+        "TrackerConfig", "TrackerStalled", "UnsupportedField", "ZeroDiagonal",
+        "alpha", "apply_right", "apply_two_sided", "as_symmatrix", "diagnose",
+        "fiedler_partition", "fit_rate", "foa_factor", "frob_norm",
+        "full_jacobi", "gap_hat", "gaussian_similarity", "io",
+        "min_relative_gap", "normalized_laplacian", "off_norm", "off_row",
+        "omega", "rel", "scaled", "schur2", "sep_bound", "solve", "solve_many",
+        "sort_by_diagonal", "step_length", "sweep", "thm2_bound", "track",
+    ]

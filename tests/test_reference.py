@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import ddjacobi.io as dio
-from ddjacobi import NoConvergence, full_jacobi
+from ddjacobi import InputError, NoConvergence, full_jacobi
 from ddjacobi.reference import _exact_values
-from conftest import rand_sym
+from conftest import NORM_OVERFLOWS, rand_sym
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17, 24])
@@ -49,6 +49,13 @@ def test_no_convergence_when_budget_exhausted(rng):
     a = rand_sym(rng, 6)
     with pytest.raises(NoConvergence):
         full_jacobi(a, max_sweeps=0)
+
+
+def test_overflowing_norm_is_an_input_error():
+    # The stopping target used to be inf, so the diagonal came back as the
+    # spectrum without a sweep.
+    with pytest.raises(InputError, match="overflows"):
+        full_jacobi(NORM_OVERFLOWS)
 
 
 def test_threshold_gate_can_block_progress(rng):

@@ -14,7 +14,7 @@ import ddjacobi.io as dio
 from ddjacobi import full_jacobi, min_relative_gap
 from ddjacobi.matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
 from ddjacobi.reference import _round_robin
-from ddjacobi.rotation import apply_right, apply_two_sided, jacobi_angle
+from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided
 from conftest import rand_sym
 
 
@@ -35,7 +35,8 @@ def cyclic_by_rows(A, threshold=0.0, max_sweeps=60):
                 apq = a[p, q]
                 if apq == 0.0 or abs(apq) < gate:
                     continue
-                u = jacobi_angle(a[p, p], apq, a[q, q]).matrix()
+                c, s, _ = _tangent_cs(float(a[p, p]), float(apq), float(a[q, q]))
+                u = np.array([[c, s], [-s, c]])
                 apply_two_sided(a, p, q, u)
                 a[p, q] = 0.0
                 a[q, p] = 0.0

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddjacobi import (
-    Rotation2,
     SymMatrix,
     apply_right,
     apply_two_sided,
-    jacobi_angle,
     schur2,
 )
 from ddjacobi.diagnostics import rel
+from ddjacobi.rotation import _tangent_cs
 from conftest import rand_sym
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False)
@@ -20,28 +19,26 @@ nonzero = finite.filter(lambda x: abs(x) > 1e-8)
 
 
 def test_identity_when_entry_already_zero():
-    r = jacobi_angle(3.0, 0.0, -5.0)
-    assert (r.c, r.s) == (1.0, 0.0)
+    c, s, t = _tangent_cs(3.0, 0.0, -5.0)
+    assert (c, s, t) == (1.0, 0.0, 0.0)
 
 
 def test_tie_takes_quarter_pi():
     # theta == 0 picks t = 1 whatever the sign of the off entry; the
     # rotated off-diagonal is apq * (c^2 - s^2) = 0 either way
-    r = jacobi_angle(2.0, 1.5, 2.0)
-    assert r.s == pytest.approx(r.c)
-    assert r.tan == pytest.approx(1.0)
-    r2 = jacobi_angle(2.0, -1.5, 2.0)
-    assert r2.tan == pytest.approx(1.0)
+    c, s, t = _tangent_cs(2.0, 1.5, 2.0)
+    assert s == pytest.approx(c)
+    assert t == 1.0
+    assert _tangent_cs(2.0, -1.5, 2.0)[2] == 1.0
 
 
 def test_theta_overflow_gives_identity_without_warning():
-    # numpy entries: (1e10 - 0) / 2e-300 overflows to inf, so t = 0
+    # numpy entries, which schur2 converts: (1e10 - 0) / 2e-300 overflows to
+    # inf, so t = 0
     app, apq, aqq = np.array([0.0, 1e-300, 1e10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = jacobi_angle(app, apq, aqq)
         res = schur2(app, apq, aqq)
-    assert (r.c, r.s) == (1.0, 0.0)
     assert np.array_equal(res.u, np.eye(2))
     assert res.t == (0.0, 1e10)
 
@@ -49,16 +46,17 @@ def test_theta_overflow_gives_identity_without_warning():
 @given(app=finite, apq=finite, aqq=finite)
 @settings(max_examples=300, deadline=None)
 def test_rotation_is_orthogonal_with_inner_angle(app, apq, aqq):
-    r = jacobi_angle(app, apq, aqq)
-    assert r.c > 0.0
-    assert abs(r.c * r.c + r.s * r.s - 1.0) <= 4 * np.finfo(float).eps
-    assert abs(r.s) <= r.c + 1e-15  # |angle| <= pi/4
+    c, s, _ = _tangent_cs(app, apq, aqq)
+    assert c > 0.0
+    assert abs(c * c + s * s - 1.0) <= 4 * np.finfo(float).eps
+    assert abs(s) <= c + 1e-15  # |angle| <= pi/4
 
 
 @given(app=finite, apq=nonzero, aqq=finite)
 @settings(max_examples=300, deadline=None)
 def test_rotation_annihilates_the_pair(app, apq, aqq):
-    u = jacobi_angle(app, apq, aqq).matrix()
+    c, s, _ = _tangent_cs(app, apq, aqq)
+    u = np.array([[c, s], [-s, c]])
     b = np.array([[app, apq], [apq, aqq]])
     t = u.T @ b @ u
     scale = max(abs(app), abs(apq), abs(aqq))
@@ -71,10 +69,10 @@ def test_tangent_bound_from_scaled_entry(app, apq, aqq):
     # |tan| <= 0.5 |h_pq| / rel(app, aqq) for distinct nonzero diagonals.
     if app == aqq:
         return
-    r = jacobi_angle(app, apq, aqq)
+    c, s, _ = _tangent_cs(app, apq, aqq)
     h = apq / np.sqrt(abs(app) * abs(aqq))
     bound = 0.5 * abs(h) / rel(app, aqq)
-    assert abs(r.tan) <= bound * (1 + 1e-12) + 1e-300
+    assert abs(s / c) <= bound * (1 + 1e-12) + 1e-300
 
 
 class TestSchur2:
@@ -175,7 +173,3 @@ def test_apply_right_accumulates(rng):
     assert np.allclose(V.T @ V, np.eye(6), atol=1e-13)
     assert np.allclose(V.T @ orig @ V, a, atol=1e-12)
 
-
-def test_rotation2_matrix_layout():
-    r = Rotation2(0.8, 0.6)
-    assert np.array_equal(r.matrix(), np.array([[0.8, 0.6], [-0.6, 0.8]]))

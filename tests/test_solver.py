@@ -7,16 +7,15 @@ import pytest
 
 from ddjacobi import (
     AsymmetricInput,
+    InputError,
     InvalidOptions,
     Permutation,
     SolveOptions,
     SolveStatus,
     SymMatrix,
-    VectorNotAccumulated,
     ZeroDiagonal,
     alpha,
     as_symmatrix,
-    eigenvector,
     full_jacobi,
     off_norm,
     off_row,
@@ -27,7 +26,7 @@ from ddjacobi import (
 )
 import ddjacobi.io as dio
 from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided, schur2
-from conftest import rand_sym
+from conftest import NORM_OVERFLOWS, rand_sym
 
 
 def replay_sweep(a, m, tol=0.0, V=None, annihilated=None, log=None):
@@ -221,12 +220,31 @@ class TestSolveOptionsValidation:
         with pytest.raises(InvalidOptions):
             solve(a, SolveOptions(m=1, max_sweeps=0))
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, 2.0, True, "3"])
+    def test_max_sweeps_is_an_integer(self, budget):
+        a = dio.gen_random_dd(6, 0.05, 0)
+        with pytest.raises(InvalidOptions):
+            solve(a, SolveOptions(m=2, max_sweeps=budget))
+        with pytest.raises(InvalidOptions):
+            solve_many(a, [1, 2], SolveOptions(m=1, max_sweeps=budget))
+
+    def test_max_sweeps_takes_numpy_integers(self):
+        a = dio.gen_random_dd(6, 0.05, 0)
+        res = solve(a, SolveOptions(m=2, max_sweeps=np.int64(1)))
+        assert res.sweeps_used == 1
+
     @pytest.mark.parametrize("field", ["tol", "stop_rel"])
     def test_nan_scalars(self, field):
         # A NaN compares false both ways, so only `not x >= 0` rejects it.
         a = dio.gen_random_dd(30, 0.05, 0)
         with pytest.raises(InvalidOptions):
             solve(a, replace(SolveOptions(m=15), **{field: float("nan")}))
+
+    def test_overflowing_norm_is_an_input_error(self):
+        # The stopping threshold used to be inf, so this was Converged after
+        # 0 sweeps with lambda = 1.5e308.
+        with pytest.raises(InputError, match="overflows"):
+            solve(NORM_OVERFLOWS, SolveOptions(m=2))
 
     def test_asymmetric_input(self, rng):
         a = rand_sym(rng, 4)
@@ -246,7 +264,7 @@ def test_permutation_equivariance_bit_exact(rng):
     rb = solve(b, SolveOptions(m=4, want_vector=True))
     assert ra.lambda_hat == rb.lambda_hat
     assert ra.sweeps_used == rb.sweeps_used
-    assert np.array_equal(perm.gather(ra.vector), rb.vector)
+    assert np.array_equal(ra.vector[perm.indices], rb.vector)
 
 
 def test_vector_accumulation_quality(rng):
@@ -255,7 +273,7 @@ def test_vector_accumulation_quality(rng):
     frob = float(np.linalg.norm(a))
     for m in (1, 6, 12):
         res = solve(a, SolveOptions(m=m, want_vector=True))
-        v = eigenvector(res)
+        v = res.vector
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
         resid = np.linalg.norm(a @ v - res.lambda_hat * v)
         assert resid <= res.history[-1].off_row_m + 1e-12 * frob
@@ -275,8 +293,6 @@ def test_matches_oracle_eigenvectors(rng):
 def test_vector_not_accumulated():
     res = solve(np.diag([1.0, 2.0]), SolveOptions(m=1))
     assert res.vector is None
-    with pytest.raises(VectorNotAccumulated):
-        eigenvector(res)
 
 
 def test_record_history_off():
