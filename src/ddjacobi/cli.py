@@ -98,7 +98,7 @@ def cmd_eig(args) -> int:
 
 def cmd_full(args) -> int:
     A = dio.read_matrix(args.input)
-    dec = full_jacobi(A)
+    dec = full_jacobi(A, _vectors=False)
     _emit("values", dio._csv_row(dec.values))
     if args.out:
         dio._write_csv(args.out, "index,value", enumerate(dec.values, start=1))

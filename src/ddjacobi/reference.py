@@ -13,24 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NoConvergence
+from .errors import InputError, InvalidOptions, NoConvergence
 from .matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
+from .solver import _is_int
 
 __all__ = ["EigDecomposition", "full_jacobi"]
 
 # Above this order, exact-mode spectra come from LAPACK, accurate only
 # relative to ||A||: on graded D*H*D (n = 16, D from 1e-6 to 1e6) its small
 # eigenvalues were off by up to 8e6 relative, the oracle's by 1.1e-12
-# (tests/test_reference.py). The oracle takes ~0.08 s at n = 100, ~0.2 s at 128.
+# (tests/test_reference.py). Values only, the oracle takes 0.05-0.07 s at
+# n = 100 and 0.14 s at 128 on a Laplacian (8-9 sweeps); at 256, 0.28 s on
+# random-dd (3 sweeps) and 0.9-1.0 s on a Laplacian.
 _ORACLE_CUTOFF = 128
 
 
 @dataclass
 class EigDecomposition:
-    """Ascending eigenvalues and the matching orthogonal eigenvector columns."""
+    """Ascending eigenvalues and the matching orthogonal eigenvector columns
+    (None from the exact modes' values-only call)."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
 
 def _round_robin(N: int) -> np.ndarray:
@@ -45,18 +49,24 @@ def _round_robin(N: int) -> np.ndarray:
     return g
 
 
-def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposition:
+def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
+                _vectors: bool = True) -> EigDecomposition:
     """Diagonalize by cyclic Jacobi sweeps over all pairs p < q.
 
     ``threshold`` gates tiny rotations: entries below
     threshold * frob_norm(A0) / n are skipped within a sweep (0 disables the
-    gate). Raises :class:`NoConvergence` if the off-norm is still above
-    sqrt(eps) * frob_norm(A0) after ``max_sweeps`` sweeps.
+    gate). ``max_sweeps`` must be an integer >= 1. Raises
+    :class:`NoConvergence` if the off-norm is still above
+    sqrt(eps) * frob_norm(A0) after ``max_sweeps`` sweeps. ``_vectors=False``
+    is the exact modes' values-only path: no basis is rotated and
+    ``vectors`` is None; the values are the same bits.
 
     A sweep is N - 1 rounds, each gathered by :func:`_round_robin` (odd n
     gains a zero row, which never rotates). A round forms B = R^T P A, then
     R^T (P A P^T) R = R^T P B^T as A is symmetric, each a batched 2x2 product.
     """
+    if not _is_int(max_sweeps) or max_sweeps < 1:
+        raise InvalidOptions(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     M = as_symmatrix(A)
     n, N = M.n, M.n + M.n % 2
     frob0 = frob_norm(M)
@@ -66,11 +76,17 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposi
     # |a_pq| >= gate rotates; the floor keeps exact zeros still at threshold 0
     gate = max(threshold * frob0 / n, math.ulp(0.0))
     g = _round_robin(N)
-    a, b, vt = np.zeros((N, N)), np.empty((N, N)), np.eye(N)
+    # flat index of each round's a_pq, after P; Python ints, as an integer
+    # ufunc would map numpy code that nothing else in the job runs
+    pq = np.array([p * N + q for p, q in zip(g[0::2].tolist(), g[1::2].tolist())])
+    a, b, w = np.zeros((N, N)), np.empty((N, N)), np.empty((N // 2, 2, 2))
     a[:n, :n] = M.a
-    a3, b3, vt3 = (x.reshape(N // 2, 2, N) for x in (a, b, vt))
+    a3, b3 = a.reshape(N // 2, 2, N), b.reshape(N // 2, 2, N)
     flat = a.reshape(-1)
     diag, upper, lower = flat[::N + 1], flat[1::2 * N + 2], flat[N::2 * N + 2]
+    if _vectors:
+        vt = np.eye(N)
+        vt3 = vt.reshape(N // 2, 2, N)
 
     sweeps = 0
     while off_norm(a) > target:
@@ -80,28 +96,35 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60) -> EigDecomposi
                 f"after {max_sweeps} sweeps"
             )
         for _ in range(N - 1):
-            d, apq = diag[g], a[g[0::2], g[1::2]]
+            d, apq = diag[g], flat[pq]
             live = np.abs(apq) >= gate
-            # _tangent_cs's t (1 at theta = 0); 0 if gated or theta overflows
+            # _tangent_cs's t: 1 at theta = +-0 (theta + 0.0 is +0.0), 0 if
+            # gated or if theta overflows
             with np.errstate(over="ignore"):
                 theta = (d[1::2] - d[0::2]) / (2.0 * np.where(live, apq, 1.0))
-            t = np.where(theta < 0.0, -1.0, 1.0) * live / (np.abs(theta) + np.hypot(1.0, theta))
+            t = np.copysign(live, theta + 0.0) / (np.abs(theta) + np.hypot(1.0, theta))
             c = 1.0 / np.sqrt(1.0 + t * t)
-            w = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
-            # g is in range; the default mode="raise" would buffer out (N^2)
-            np.take(a, g, axis=0, out=b, mode="clip")
+            w[:, 0, 0] = w[:, 1, 1] = c  # w = ((c, -s), (s, c)), s = t c
+            np.multiply(t, c, out=w[:, 1, 0])
+            np.negative(w[:, 1, 0], out=w[:, 0, 1])
+            # g is in range; mode="raise" would buffer out (N^2). The take
+            # method skips np.take's Python wrapper, ~2 us a call.
+            a.take(g, axis=0, out=b, mode="clip")
             np.matmul(w, b3, out=a3)
             np.copyto(b, a.T)
-            np.take(b, g, axis=0, out=a, mode="clip")
+            b.take(g, axis=0, out=a, mode="clip")
             np.matmul(w, a3, out=b3)
             np.add(b, b.T, out=a)
             a *= 0.5
             upper[live] = lower[live] = 0.0
-            np.take(vt, g, axis=0, out=b, mode="clip")
-            np.matmul(w, b3, out=vt3)
+            if _vectors:
+                vt.take(g, axis=0, out=b, mode="clip")
+                np.matmul(w, b3, out=vt3)
         sweeps += 1
 
     order = np.argsort(diag[:n], kind="stable")
+    if not _vectors:
+        return EigDecomposition(values=diag[order], vectors=None)
     vectors = vt[order, :n].T
     for j in range(n):
         vectors[:, j] = _peak_positive(vectors[:, j])
@@ -113,4 +136,6 @@ def _exact_values(A) -> np.ndarray:
     ``cluster``/``diagnose --exact``, ``diagnose(exact=True)``): the Jacobi
     oracle up to order ``_ORACLE_CUTOFF``, LAPACK ``eigvalsh`` above."""
     M = as_symmatrix(A)
-    return full_jacobi(M).values if M.n <= _ORACLE_CUTOFF else np.linalg.eigvalsh(M.a)
+    if M.n > _ORACLE_CUTOFF:
+        return np.linalg.eigvalsh(M.a)
+    return full_jacobi(M, _vectors=False).values

@@ -356,11 +356,13 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, scratch: tuple[np.ndarray, np.ndarray] | None):
+    def __init__(self, m: int, scratch: tuple[np.ndarray, np.ndarray] | None,
+                 row_norm):
         # scratch: the two n x n snapshot buffers all targets share, or None
-        # when no history is recorded.
+        # when no history is recorded. row_norm(a, m0) is off(A(m,:)).
         self.m0 = m - 1
         self.scratch = scratch
+        self.row_norm = row_norm
         self.history: list[SweepRecord] = []
         self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
         self.status = SolveStatus.MAX_SWEEPS
@@ -368,7 +370,7 @@ class _Target:
 
     def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
         """Record the state after sweep k; True once a stopping rule fired."""
-        off_m = off_row(a, self.m0)
+        off_m = self.row_norm(a, self.m0)
         if self.scratch is not None:
             self.history.append(_snapshot(a, self.m0, k, rotations, *self.scratch))
         recent = self.recent
@@ -386,6 +388,12 @@ class _Target:
         else:
             return False
         return True
+
+
+def _off_row_rescaled(a: np.ndarray, m0: int) -> float:
+    row = a[m0].copy()
+    row[m0] = 0.0
+    return frob_norm(row)
 
 
 def _is_int(x) -> bool:
@@ -431,7 +439,10 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
     scratch = (np.empty((n, n)), np.empty((n, n))) if opts.record_history else None
-    runs = [_Target(m, scratch) for m in ranks]
+    # Rotations keep the Frobenius norm, so a row's squares can overflow only
+    # where frob's do; only then does off(A(m,:)) take frob_norm's rescale.
+    row_norm = off_row if frob < 1e150 else _off_row_rescaled
+    runs = [_Target(m, scratch, row_norm) for m in ranks]
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None

@@ -5,6 +5,7 @@ import pytest
 
 import ddjacobi.io as dio
 import ddjacobi.solver as solver
+from ddjacobi import full_jacobi
 from ddjacobi.cli import ExitCode, main
 from conftest import rand_sym
 
@@ -235,6 +236,13 @@ class TestDataErrors:
 
 
 class TestFull:
+    def test_values_line_is_the_oracle(self, tmp_path, capsys):
+        p = tmp_path / "a.mtx"
+        dio.write_matrix_market(p, dio.gen_random_dd(17, 0.3, seed=3))
+        assert main(["full", "--input", str(p)]) == 0
+        values = full_jacobi(dio.read_matrix(p)).values
+        assert capsys.readouterr().out == f"values={dio._csv_row(values)}\n"
+
     def test_values_and_out_csv(self, dom_mtx, tmp_path, capsys):
         out = tmp_path / "values.csv"
         code = main(["full", "--input", str(dom_mtx), "--out", str(out)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddjacobi.io as dio
-from ddjacobi import InputError, NoConvergence, full_jacobi
+from ddjacobi import InputError, InvalidOptions, NoConvergence, full_jacobi
 from ddjacobi.reference import _exact_values
 from conftest import NORM_OVERFLOWS, rand_sym
 
@@ -47,8 +47,22 @@ def test_repeated_eigenvalues(rng):
 
 def test_no_convergence_when_budget_exhausted(rng):
     a = rand_sym(rng, 6)
-    with pytest.raises(NoConvergence):
-        full_jacobi(a, max_sweeps=0)
+    with pytest.raises(NoConvergence, match="after 1 sweeps"):
+        full_jacobi(a, max_sweeps=1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 2.5, 2.0, True, 0])
+def test_sweep_budget_must_be_a_positive_integer(budget):
+    # nan never ran out, 2.5 acted as 3, and True and 2.0 named a
+    # non-integer budget in the NoConvergence message.
+    with pytest.raises(InvalidOptions, match="max_sweeps"):
+        full_jacobi(dio.gen_random_dd(6, 0.3, seed=1), max_sweeps=budget)
+
+
+def test_numpy_integer_budget():
+    a = dio.gen_random_dd(6, 0.3, seed=1)
+    assert np.array_equal(full_jacobi(a, max_sweeps=np.int64(60)).values,
+                          full_jacobi(a).values)
 
 
 def test_overflowing_norm_is_an_input_error():

@@ -13,7 +13,7 @@ import pytest
 import ddjacobi.io as dio
 from ddjacobi import full_jacobi, min_relative_gap
 from ddjacobi.matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
-from ddjacobi.reference import _round_robin
+from ddjacobi.reference import _exact_values, _round_robin
 from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided
 from conftest import rand_sym
 
@@ -134,3 +134,37 @@ def test_full_jacobi_memory_stays_below_eight_matrices(as_array):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n * 8
+
+
+VALUES_ONLY = CASES + [
+    ("dd64", dio.gen_random_dd(64, 0.3, seed=64).a, 0.0),
+    ("diagonal", np.diag([3.0, -1.0, 2.0, 2.0, 0.5]), 0.0),
+]
+
+
+@pytest.mark.parametrize("a,threshold", [c[1:] for c in VALUES_ONLY],
+                         ids=[c[0] for c in VALUES_ONLY])
+def test_values_only_path_gives_the_same_bits(a, threshold):
+    dec = full_jacobi(a, threshold=threshold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bare = full_jacobi(a, threshold=threshold, _vectors=False)
+    assert bare.vectors is None
+    assert bare.values.tobytes() == dec.values.tobytes()
+    if threshold == 0.0:
+        assert _exact_values(a).tobytes() == dec.values.tobytes()
+
+
+def test_values_only_path_keeps_no_basis():
+    n = 128
+    A = dio.gen_random_dd(n, 0.3, seed=5)
+    peaks = []
+    for vectors in (True, False):
+        full_jacobi(A, _vectors=vectors)
+        tracemalloc.start()
+        try:
+            full_jacobi(A, _vectors=vectors)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] - 8 * n * n

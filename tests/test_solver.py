@@ -246,6 +246,20 @@ class TestSolveOptionsValidation:
         with pytest.raises(InputError, match="overflows"):
             solve(NORM_OVERFLOWS, SolveOptions(m=2))
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_huge_entries_sweep_as_the_unscaled_matrix(self, scale):
+        # off(A(m,:)) used to read inf until it fell below ~1e154: 1e200 * H
+        # took 17 sweeps with an overflow warning in each, H takes 3.
+        H = np.array([[1.0, 0.1, 0.05], [0.1, 2.0, 0.1], [0.05, 0.1, 3.0]])
+        ref = solve(H, SolveOptions(m=2, want_vector=True))
+        res = solve(scale * H, SolveOptions(m=2, want_vector=True))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.sweeps_used == ref.sweeps_used == 3
+        assert res.lambda_hat / scale == pytest.approx(ref.lambda_hat, rel=1e-15)
+        np.testing.assert_allclose(res.vector, ref.vector, rtol=0, atol=1e-15)
+        rows = [r.off_row_m / scale for r in res.history]
+        np.testing.assert_allclose(rows, [r.off_row_m for r in ref.history], rtol=1e-14)
+
     def test_asymmetric_input(self, rng):
         a = rand_sym(rng, 4)
         a[0, 1] += 0.1
