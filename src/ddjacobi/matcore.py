@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,7 @@ def off_row(A, i: int) -> float:
         raise IndexError(f"row index {i} out of range for order {n}")
     row = a[i].copy()
     row[i] = 0.0
-    return float(np.linalg.norm(row))
+    return math.sqrt(row.dot(row))  # np.linalg.norm's sum, without its wrapper
 
 
 def frob_norm(A) -> float:
@@ -151,10 +152,25 @@ def frob_norm(A) -> float:
     a = _entries(A)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
-    if norm == np.inf:
-        s = float(np.abs(a).max())
-        norm = s * float(np.linalg.norm(a / s))
-    return norm
+    return _rescaled_norm(a) if norm == np.inf else norm
+
+
+# Below this norm, the squares of entries that matter to it may be subnormal
+# or zero. An entry whose square is subnormal (below 1.5e-154) is then below
+# 1.5e-14 of the norm, which matters only beyond 1e12 entries.
+_TINY_NORM = 1e-140
+
+
+def _fine_norm(A) -> float:
+    """:func:`frob_norm`, also taken on A / max|a_ij| where it falls below
+    ``_TINY_NORM``, so no underflow loses it (the zero matrix gives 0)."""
+    norm = frob_norm(A)
+    return _rescaled_norm(_entries(A)) if norm < _TINY_NORM else norm
+
+
+def _rescaled_norm(a: np.ndarray) -> float:
+    s = float(np.abs(a).max())
+    return s * float(np.linalg.norm(a / s)) if s else 0.0
 
 
 def omega(A) -> SymMatrix:

@@ -11,17 +11,19 @@ which keeps the diagonal sorted as it converges to the eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InputError, InvalidOptions
-from .matcore import (EPS, Permutation, SymMatrix, _peak_positive, as_symmatrix,
-                      frob_norm, off_row, sort_by_diagonal)
+from .matcore import (_TINY_NORM, EPS, Permutation, SymMatrix, _fine_norm, as_symmatrix,
+                      frob_norm, sort_by_diagonal)
 from .rotation import _tangent_cs
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -179,8 +181,9 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
 
 
 def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
-              om: np.ndarray, h: np.ndarray) -> SweepRecord:
-    # One zero-diagonal copy (into the n x n buffer om) serves all four norms;
+              om: np.ndarray, h: np.ndarray, norm) -> SweepRecord:
+    # One zero-diagonal copy (into the n x n buffer om) serves all four norms,
+    # each taken with norm (frob_norm, or _fine_norm where the matrix needs it);
     # scaling it into h leaves the diagonal of H at zero and every
     # off-diagonal entry as scaled(a) has it.
     np.copyto(om, a)
@@ -190,11 +193,11 @@ def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
     if np.all(d != 0.0):
         dh = 1.0 / np.sqrt(np.abs(d))
         np.multiply(om, np.outer(dh, dh, out=h), out=h)
-        alpha, row_h = frob_norm(h), frob_norm(h[m0])
+        alpha, row_h = norm(h), norm(h[m0])
     return SweepRecord(
         sweep=k,
-        off_row_m=frob_norm(om[m0]),
-        off_total=frob_norm(om),
+        off_row_m=norm(om[m0]),
+        off_total=norm(om),
         a_mm=float(a[m0, m0]),
         alpha=alpha,
         off_row_h=row_h,
@@ -241,10 +244,10 @@ class _RotationLog:
         self.lone: int | None = None
         self.tail = (array("i"), array("d"))
 
-    def add(self, ij: np.ndarray, t: np.ndarray) -> None:
-        """Log one batched step: (2, live) flat indices (i, j) and tangents."""
+    def add(self, pairs: bytes, t: np.ndarray) -> None:
+        """Log one batched step: its :func:`_pairs` and tangents."""
         self.starts.append(len(self.ts))
-        self.pairs.frombytes(ij.T.astype(np.intc).tobytes())
+        self.pairs.frombytes(pairs)
         self.ts.frombytes(t.tobytes())
 
     def alone(self, i: int) -> tuple[array, array]:
@@ -280,6 +283,43 @@ class _RotationLog:
         return x
 
 
+@functools.lru_cache(maxsize=2)
+def _plan(n: int, targets: tuple[int, ...], m0s: tuple[int, ...]):
+    """The read-only index arrays of one batched sweep, per active set.
+
+    Plan step j of target m0 rotates in plane (k, m0): k = 0..m0-1 ascending,
+    then n-1..m0+1 descending. Returns the targets' stack indices and, per
+    step: the flat (p, p), (p, q), (q, q) entries; rows p and q in the
+    (targets * n, n) view; the plane (p, q) as column indices; the 2x2
+    block's slots in the two new rows (:func:`_block`); and the rows as the
+    rotation log stores them. A plan takes 96 bytes per target and step,
+    under 12/n of the working stack; the cache keeps the last two.
+    """
+    tix = np.array(targets)
+    m0 = np.array(m0s)
+    step = np.arange(n - 1)[:, None]
+    k = np.where(step < m0, step, n - 1 + m0 - step)
+    planes = np.stack((np.minimum(k, m0), np.maximum(k, m0)), axis=1)  # (n-1, 2, targets)
+    rows = planes + tix * n
+    entries = rows[:, [0, 0, 1]] * n + planes[:, [0, 1, 1]]
+    blocks = _block(planes, n)
+    for x in (tix, entries, rows, planes, blocks):
+        x.flags.writeable = False
+    return tix, [(e, r, c, blk, _pairs(r))
+                 for e, r, c, blk in zip(entries, rows, planes, blocks)]
+
+
+def _block(cols: np.ndarray, n: int) -> np.ndarray:
+    """Flat index of entry cols[x] of new row y of target l in the
+    (2, live, n) pair of new rows, at [x, y, l] (cols is (..., 2, live))."""
+    return cols[..., None, :] + np.arange(0, 2 * cols.shape[-1] * n, n).reshape(2, -1)
+
+
+def _pairs(ij: np.ndarray) -> bytes:
+    """(2, live) flat indices (i, j) as the rotation log stores them."""
+    return ij.T.astype(np.intc).tobytes()
+
+
 # theta = (a_qq - a_pp) / (2 a_pq) may overflow: inf gives t = 0, silently as in
 # sweep. Guarded per call (~2 us), not per plan step (~2,400 in a 20x20 track).
 @np.errstate(over="ignore")
@@ -291,48 +331,54 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
     target in its own plane (k_j, m) with the elementwise expressions of
     :func:`sweep`, so each target comes out bit-identical to a :func:`sweep`
     of its own slice. Only the tangent's hypot runs per element, through
-    ``math.hypot`` as in ``_tangent_cs``. ``log``, when given, receives each
-    step's rotations. Memory beyond the stack is O(n * targets).
+    ``math.hypot`` as in ``_tangent_cs``. A step weighs the gathered rows p
+    and q in one product, reads sweep's c1, c2, d1, d2 off the new rows and
+    writes the new 2x2 block into them, then stores rows and columns. The
+    index arrays come from :func:`_plan`'s cache, so the sweeps of one call
+    and ``track``'s solve per step (one order, every rank) build them once;
+    a step in which every target is live uses them as they are. ``log``,
+    when given, receives each step's rotations. Memory beyond the stack is
+    O(n * targets).
     """
     n = a.shape[1]
     a2, af, at = a.reshape(-1, n), a.reshape(-1), a.transpose(0, 2, 1)
-    tix = np.asarray(targets)
-    m0 = np.asarray([ranks[i] - 1 for i in targets])
-    # Plan step j of target m0: k = 0..m0-1 ascending, then n-1..m0+1 descending.
-    step = np.arange(n - 1)[:, None]
-    k = np.where(step < m0, step, n - 1 + m0 - step)
-    planes = np.stack((np.minimum(k, m0), np.maximum(k, m0)), axis=1)  # (n-1, 2, targets)
-    rows = planes + tix * n  # rows p and q in the (targets * n, n) views
-    p, q = planes[:, 0], planes[:, 1]
-    pp, pq = rows[:, 0] * n + p, rows[:, 0] * n + q
-    qq, qp = rows[:, 1] * n + q, rows[:, 1] * n + p
-    entries = np.stack((pp, pq, qq), axis=1)  # flat (p, p), (p, q), (q, q)
-    diag, zero = np.stack((pp, qq), axis=1), np.stack((pq, qp), axis=1)
-
-    sign = np.array([[-1.0], [1.0]])
-    counts = np.zeros(m0.size, dtype=int)
-    for j in range(n - 1):
-        g = af[entries[j]]
-        live = (g[1] != 0.0) & ~(np.abs(g[1]) < tol)
+    tix, plan = _plan(n, tuple(targets), tuple(ranks[i] - 1 for i in targets))
+    # On finite entries, the same gate as sweep's a_pq != 0 and not |a_pq| < tol.
+    gate = max(tol, math.ulp(0.0))
+    lives = np.empty((n - 1, len(targets)), dtype=bool)
+    for live, (g, src, cols, block, pairs) in zip(lives, plan):
+        g = af[g]
+        apq = g[1]
+        np.greater_equal(np.abs(apq), gate, out=live)
         nlive = np.count_nonzero(live)
         if not nlive:
             continue
-        counts += live
-        sel = slice(None) if nlive == live.size else live
-        g = g[:, sel]
-        app, apq, aqq = g
+        sel = tix
+        if nlive < live.size:
+            g, src, cols, sel = g[:, live], src[:, live], cols[:, live], tix[live]
+            apq, block, pairs = g[1], _block(cols, n), None
+        app, aqq = g[0], g[2]
         theta = (aqq - app) / (2.0 * apq)
-        hyp = np.array([math.hypot(1.0, th) for th in theta.tolist()])
+        hyp = np.fromiter(map(math.hypot, repeat(1.0), theta.tolist()), float, nlive)
         # theta + 0.0 turns -0.0 into +0.0, so theta == 0 gives t = 1 / 1.
         t = np.copysign(1.0, theta + 0.0) / (np.abs(theta) + hyp)
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        wa = np.array((c, t * c))  # (w11, w12) = (c, s)
-        wb = wa[::-1] * sign  # (w21, w22) = (-s, c)
-        # cd = ((c1, d1), (c2, d2)) of sweep; d = new (a_pp, a_qq).
-        cd = g[:2, None] * wa + g[1:, None] * wb
-        d = wa * cd[0] + wb * cd[1]
-        wa, wb = wa[:, :, None], wb[:, :, None]
-        src, cols, ds = rows[j][:, sel], planes[j][:, sel], diag[j][:, sel]
+        w = np.empty((2, 2, nlive))  # sweep's ((w11, w12), (w21, w22)) = ((c, s), (-s, c))
+        c = w[0, 0]
+        np.multiply(t, t, out=c)
+        c += 1.0
+        np.sqrt(c, out=c)
+        np.divide(1.0, c, out=c)
+        np.multiply(t, c, out=w[0, 1])
+        np.negative(w[0, 1], out=w[1, 0])
+        w[1, 1] = c
+        # New row i is w[0, i] * row p + w[1, i] * row q, as in sweep; their
+        # entries in columns p and q are sweep's ((c1, d1), (c2, d2)).
+        r = w[:, :, :, None] * a2.take(src, axis=0)[:, None]
+        r = np.add(r[0], r[1], out=r[0])
+        rf = r.reshape(-1)
+        prod = w * rf[block]
+        vals = np.zeros((2, 2, nlive))  # the block: new (a_pp, a_qq), zeros off it
+        np.add(prod[0], prod[1], out=vals.reshape(4, nlive)[::3])
         dst = src
         tpq = t * apq
         swap = app - tpq > aqq + tpq
@@ -341,36 +387,33 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
             # results of the unswapped one land: row/column p <-> q.
             dst = np.where(swap, src[::-1], src)
             cols = np.where(swap, cols[::-1], cols)
-            ds = np.where(swap, ds[::-1], ds)
-        r = a2[src]
-        r = r[0] * wa + r[1] * wb
+            vals = np.where(swap, vals[::-1], vals)
+            pairs = None
+        rf[block] = vals
         a2[dst] = r
-        at[tix[sel], cols] = r
-        af[ds] = d
-        af[zero[j][:, sel]] = 0.0
+        at[sel, cols] = r
         if log is not None:
-            log.add(dst, t)
-    return counts.tolist()
+            log.add(_pairs(dst) if pairs is None else pairs, t)
+    return np.count_nonzero(lives, axis=0).tolist()
 
 
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, scratch: tuple[np.ndarray, np.ndarray] | None,
-                 row_norm):
-        # scratch: the two n x n snapshot buffers all targets share, or None
-        # when no history is recorded. row_norm(a, m0) is off(A(m,:)).
+    def __init__(self, m: int, scratch: tuple | None):
+        # scratch: the two n x n snapshot buffers all targets share and the
+        # snapshot's norm, or None when no history is recorded.
         self.m0 = m - 1
         self.scratch = scratch
-        self.row_norm = row_norm
         self.history: list[SweepRecord] = []
         self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
         self.status = SolveStatus.MAX_SWEEPS
         self.sweeps_used = 0
 
-    def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
-        """Record the state after sweep k; True once a stopping rule fired."""
-        off_m = self.row_norm(a, self.m0)
+    def note(self, a: np.ndarray, off_m: float, k: int, rotations: int,
+             threshold: float) -> bool:
+        """Record the state after sweep k, in which off(A(m,:)) is off_m;
+        True once a stopping rule fired."""
         if self.scratch is not None:
             self.history.append(_snapshot(a, self.m0, k, rotations, *self.scratch))
         recent = self.recent
@@ -390,10 +433,15 @@ class _Target:
         return True
 
 
-def _off_row_rescaled(a: np.ndarray, m0: int) -> float:
-    row = a[m0].copy()
-    row[m0] = 0.0
-    return frob_norm(row)
+def _off_rows(work: np.ndarray, idx: list[int], m0s: np.ndarray, fine: bool) -> list[float]:
+    """off(A(m,:)) of the stacked targets idx: as :func:`matcore.off_row` sums
+    it, or through ``_fine_norm``'s rescales when ``fine``."""
+    m0 = m0s[idx]
+    rows = work[idx, m0]
+    rows[np.arange(len(idx)), m0] = 0.0
+    if fine:
+        return [_fine_norm(row) for row in rows]
+    return [math.sqrt(row.dot(row)) for row in rows]
 
 
 def _is_int(x) -> bool:
@@ -422,11 +470,15 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     Each result is bit-identical to ``solve(A, replace(opts, m=m))``; the
     ranks come from ``ms`` and ``opts.m`` is not used. The matrix is sorted
     and the stopping threshold computed once, then all targets that have not
-    stopped sweep together on a (targets x n x n) working stack. A target
-    leaves the batch when it stops; while a single target is left it runs
-    through :func:`sweep` directly. With ``want_vector`` each applied
-    rotation is logged in 12-16 bytes, and the eigenvectors are rebuilt at
-    the end by applying the logged rotations to e_m in reverse order.
+    stopped sweep together on a (targets x n x n) working stack, through
+    :func:`_sweep_many` and its cached plan, and their rows' off-norms are
+    taken in one pass after each sweep. A target leaves the batch when it
+    stops; while a single target is left it runs through :func:`sweep`
+    directly. Where ||A||_F lies outside [1e-140, 1e150), every norm takes
+    ``_fine_norm``'s rescales, so no square overflows or flushes to zero.
+    With ``want_vector`` each applied rotation is logged in 12-16 bytes, and
+    the eigenvectors are rebuilt at the end by applying the logged rotations
+    to e_m in reverse order, then signed and normalized together.
     """
     M = as_symmatrix(A)
     n = M.n
@@ -434,22 +486,30 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
 
     B, perm = sort_by_diagonal(M)
     b = B.a
-    frob = frob_norm(b)
+    frob = _fine_norm(b)
     if frob == math.inf:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
-    scratch = (np.empty((n, n)), np.empty((n, n))) if opts.record_history else None
     # Rotations keep the Frobenius norm, so a row's squares can overflow only
-    # where frob's do; only then does off(A(m,:)) take frob_norm's rescale.
-    row_norm = off_row if frob < 1e150 else _off_row_rescaled
-    runs = [_Target(m, scratch, row_norm) for m in ranks]
+    # where frob's do; where frob >= 1e-140, its squares flush to zero only
+    # far below the default threshold. Outside that range every norm rescales.
+    fine = not _TINY_NORM <= frob < 1e150
+    scratch = None
+    if opts.record_history:
+        scratch = (np.empty((n, n)), np.empty((n, n)), _fine_norm if fine else frob_norm)
+    runs = [_Target(m, scratch) for m in ranks]
+    m0s = np.array([run.m0 for run in runs])
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None
 
-    active = [i for i, run in enumerate(runs) if not run.note(work[i], 0, 0, threshold)]
-    for k in range(1, opts.max_sweeps + 1):
-        if not active:
+    k, active, counts = 0, list(range(len(runs))), [0] * len(runs)
+    while True:
+        offs = _off_rows(work, active, m0s, fine)
+        active = [i for i, off_m, rotations in zip(active, offs, counts)
+                  if not runs[i].note(work[i], off_m, k, rotations, threshold)]
+        k += 1
+        if not active or k > opts.max_sweeps:
             break
         if len(active) == 1:
             i = active[0]
@@ -457,25 +517,26 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
             counts = [sweep(work[i], ranks[i], opts.tol, _log=tail)]
         else:
             counts = _sweep_many(work, active, ranks, opts.tol, log)
-        active = [i for i, rotations in zip(active, counts)
-                  if not runs[i].note(work[i], k, rotations, threshold)]
 
-    vectors = None if log is None else log.vectors([run.m0 for run in runs], n)
-    results = []
-    for i, run in enumerate(runs):
-        vector = None
-        if vectors is not None:
-            v = _peak_positive(perm.scatter(vectors[i]))
-            vector = v / np.linalg.norm(v)
-        results.append(EigenpairResult(
-            lambda_hat=float(work[i, run.m0, run.m0]),
-            vector=vector,
-            status=run.status,
-            sweeps_used=run.sweeps_used,
-            history=run.history,
-            permutation=perm,
-        ))
-    return results
+    vectors = [None] * len(runs)
+    if log is not None:
+        # Row i is target i's vector in the original ordering, its sign set by
+        # _peak_positive's rule and its length by np.linalg.norm's sum.
+        x = log.vectors(m0s.tolist(), n)
+        v = np.empty_like(x)
+        v[:, perm.indices] = x
+        peaks = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+        np.negative(v, out=v, where=(peaks < 0.0)[:, None])
+        v /= np.array([math.sqrt(row.dot(row)) for row in v])[:, None]
+        vectors = list(v)
+    return [EigenpairResult(
+        lambda_hat=float(work[i, run.m0, run.m0]),
+        vector=vector,
+        status=run.status,
+        sweeps_used=run.sweeps_used,
+        history=run.history,
+        permutation=perm,
+    ) for i, (run, vector) in enumerate(zip(runs, vectors))]
 
 
 def solve(A, opts: SolveOptions) -> EigenpairResult:

@@ -134,7 +134,8 @@ def _per_target_solves(B, ms, opts):
 @pytest.mark.parametrize("make, cfg", [
     (lambda: dio.gen_random_dd(10, 0.2, seed=5), None),
     HALVING_CASE,
-], ids=["default", "halving"])
+    (lambda: dio.gen_random_dd(20, 0.3, seed=1), None),  # the benchmark's track family
+], ids=["default", "halving", "dd20"])
 def test_batched_track_bit_identical_to_per_target_solves(monkeypatch, make, cfg):
     A = make()
     batched = track(A, cfg)

@@ -65,6 +65,15 @@ def test_numpy_integer_budget():
                           full_jacobi(a).values)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+def test_tiny_entries_diagonalize_as_the_unscaled_matrix(scale):
+    # The squares of 1e-170 * H flush to zero, so the off-norm read 0 at once
+    # and the diagonal of H came back as its spectrum.
+    H = np.array([[1.0, 0.1, 0.05], [0.1, 2.0, 0.1], [0.05, 0.1, 3.0]])
+    got = full_jacobi(scale * H, _vectors=False).values / scale
+    np.testing.assert_allclose(got, full_jacobi(H).values, rtol=1e-14)
+
+
 def test_overflowing_norm_is_an_input_error():
     # The stopping target used to be inf, so the diagonal came back as the
     # spectrum without a sweep.

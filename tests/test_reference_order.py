@@ -168,3 +168,19 @@ def test_values_only_path_keeps_no_basis():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] - 8 * n * n
+
+
+def test_values_only_peak_holds_no_zero_diagonal_copy():
+    # The once-per-sweep off-norm zeroes a's diagonal in place. What peaks is
+    # a, b, numpy's 64 kB ufunc buffer for b + b.T and O(N) vectors: 2.59 N^2
+    # doubles at n = 128, where a zero-diagonal copy made it 3.11.
+    n = 128
+    A = dio.gen_random_dd(n, 0.3, seed=5)
+    full_jacobi(A, _vectors=False)
+    tracemalloc.start()
+    try:
+        full_jacobi(A, _vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 8 * n * n

@@ -260,6 +260,23 @@ class TestSolveOptionsValidation:
         rows = [r.off_row_m / scale for r in res.history]
         np.testing.assert_allclose(rows, [r.off_row_m for r in ref.history], rtol=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_tiny_entries_sweep_as_the_unscaled_matrix(self, scale):
+        # The squares of 1e-170 * H flush to zero: frob_norm and off(A(m,:))
+        # read 0, so this was Converged after 0 sweeps with lambda off by
+        # 4.9e-4 relative (1e-160 * H: 1 sweep, 8.5e-6).
+        H = np.array([[1.0, 0.1, 0.05], [0.1, 2.0, 0.1], [0.05, 0.1, 3.0]])
+        ref = solve(H, SolveOptions(m=2, want_vector=True))
+        res = solve(scale * H, SolveOptions(m=2, want_vector=True))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.sweeps_used == ref.sweeps_used == 3
+        assert res.lambda_hat / scale == pytest.approx(ref.lambda_hat, rel=1e-15)
+        np.testing.assert_allclose(res.vector, ref.vector, rtol=0, atol=1e-15)
+        rows = [r.off_row_m / scale for r in res.history]
+        np.testing.assert_allclose(rows, [r.off_row_m for r in ref.history], rtol=1e-14)
+        total = res.history[0].off_total / scale
+        assert total == pytest.approx(ref.history[0].off_total, rel=1e-15)
+
     def test_asymmetric_input(self, rng):
         a = rand_sym(rng, 4)
         a[0, 1] += 0.1
@@ -401,6 +418,29 @@ def theta_overflow():
     return a
 
 
+def signed_zero_and_subnormal():
+    # Row 0 sweeps planes (0, 4) .. (0, 1): its -0.0 coupling comes first and
+    # is skipped, its 5e-324 coupling comes last, unchanged, and rotates (its
+    # theta overflows, so t = 0).
+    a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    a[0, 2] = a[2, 0] = a[2, 3] = a[3, 2] = 0.1
+    a[0, 1] = a[1, 0] = 5e-324
+    a[0, 4] = a[4, 0] = -0.0
+    return a
+
+
+GATE_TOL = 1e-3
+
+
+def coupling_at_tol():
+    # Row 0 meets the float below tol first (skipped), then tol itself (rotates).
+    a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    a[1, 2] = a[2, 1] = a[3, 4] = a[4, 3] = 0.1
+    a[0, 3] = a[3, 0] = GATE_TOL
+    a[0, 4] = a[4, 0] = np.nextafter(GATE_TOL, 0.0)
+    return a
+
+
 # name -> (matrix, options, a status that some rank must end with)
 SOLVE_MANY_CASES = {
     "random-dd": (lambda: dio.gen_random_dd(20, 0.3, 1),
@@ -428,6 +468,13 @@ SOLVE_MANY_CASES = {
     # the batch either.
     "theta-overflow": (theta_overflow,
                        SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
+    "signed-zero-and-subnormal": (signed_zero_and_subnormal,
+                                  SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
+    "coupling-at-tol": (coupling_at_tol, SolveOptions(m=1, tol=GATE_TOL, want_vector=True),
+                        SolveStatus.TOLERANCE_FLOOR),
+    # ||A||_F ~ 1e-299: the batch takes the rescaled row norms.
+    "underflow": (lambda: 1e-300 * dio.gen_random_dd(10, 0.3, 5).a,
+                  SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
 }
 
 
@@ -461,6 +508,31 @@ def test_solve_many_bit_identical_to_solve(case):
     assert any(r.status is expected for r in batch)
     for m, got in enumerate(batch, 1):
         assert_same_result(got, solve(A, replace(opts, m=m)))
+
+
+@pytest.mark.parametrize("case, rotations", [("signed-zero-and-subnormal", 2),
+                                             ("coupling-at-tol", 1)])
+def test_batched_gate_edges(case, rotations):
+    # Rank 1 sweeps in the batch; its first sweep rotates only the couplings
+    # the gate passes (0.1 and 5e-324; tol itself).
+    make, opts, _ = SOLVE_MANY_CASES[case]
+    batch = solve_many(make(), range(1, 6), opts)
+    assert sum(r.sweeps_used > 0 for r in batch) >= 2
+    assert batch[0].history[1].rotations_applied == rotations
+
+
+def test_back_to_back_batches_match_solve():
+    # Calls on one order reuse the batched sweep's plans; rank sets differ
+    # and the drk1 batch's active set shrinks many times.
+    A, B = dio.gen_diag_rank1(15).a, dio.gen_random_dd(15, 0.3, 4).a
+    opts = SolveOptions(m=1, want_vector=True)
+    calls = [(A, range(1, 16), opts), (B, range(1, 16), opts), (A, [15, 2, 8, 2], opts),
+             (B, range(1, 16), replace(opts, tol=1e-3)), (A, range(1, 16), opts), (B, [1, 3], opts)]
+    for M, ms, o in calls:
+        batch = solve_many(M, ms, o)
+        for m, got in zip(ms, batch):
+            assert_same_result(got, solve(M, replace(o, m=m)))
+    assert len({r.sweeps_used for r in solve_many(A, range(1, 16), opts)}) >= 4
 
 
 def test_lone_tail_case_sweeps_alone():
