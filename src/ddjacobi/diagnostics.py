@@ -24,6 +24,7 @@ from .errors import (
 )
 from .matcore import EPS, as_symmatrix, off_norm, scaled, sort_by_diagonal
 from .reference import _exact_values
+from .solver import _is_int
 
 __all__ = ["GapSet", "DiagnosticsReport", "min_relative_gap", "rel", "alpha",
            "gap_hat", "thm2_bound", "foa_factor", "sep_bound", "fit_rate",
@@ -113,7 +114,7 @@ def gap_hat(A, m: int) -> float:
     """
     d = np.sort(as_symmatrix(A).a.diagonal(), kind="stable")
     n = d.size
-    if not 1 <= m <= n:
+    if not _is_int(m) or not 1 <= m <= n:
         raise IndexError(f"rank {m} out of range for order {n}")
     if n == 1:
         raise DegenerateGapHat("no other diagonal entries to compare against")

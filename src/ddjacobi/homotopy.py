@@ -157,7 +157,7 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
         iters = np.array([r.sweeps_used for r in results])
         sweeps += int(iters.sum())
 
-        defect = float(np.linalg.norm(q.T @ q - np.eye(n)))
+        defect = frob_norm(q.T @ q - np.eye(n))
         path.max_orth_defect = max(path.max_orth_defect, defect)
         gh = min_relative_gap(sigma).gamma if n > 1 else np.inf
         path.steps.append(HomotopyStep(

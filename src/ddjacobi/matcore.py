@@ -143,16 +143,7 @@ def off_row(A, i: int) -> float:
         raise IndexError(f"row index {i} out of range for order {n}")
     row = a[i].copy()
     row[i] = 0.0
-    return math.sqrt(row.dot(row))  # np.linalg.norm's sum, without its wrapper
-
-
-def frob_norm(A) -> float:
-    """Frobenius norm. Where the plain sum of squares overflows, the entries
-    are divided by max|a_ij| first; inf only when the norm itself overflows."""
-    a = _entries(A)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    return _rescaled_norm(a) if norm == np.inf else norm
+    return frob_norm(row)
 
 
 # Below this norm, the squares of entries that matter to it may be subnormal
@@ -161,16 +152,20 @@ def frob_norm(A) -> float:
 _TINY_NORM = 1e-140
 
 
-def _fine_norm(A) -> float:
-    """:func:`frob_norm`, also taken on A / max|a_ij| where it falls below
-    ``_TINY_NORM``, so no underflow loses it (the zero matrix gives 0)."""
-    norm = frob_norm(A)
-    return _rescaled_norm(_entries(A)) if norm < _TINY_NORM else norm
-
-
-def _rescaled_norm(a: np.ndarray) -> float:
-    s = float(np.abs(a).max())
-    return s * float(np.linalg.norm(a / s)) if s else 0.0
+def frob_norm(A) -> float:
+    """Frobenius norm of a matrix or row, the package's one norm: the sum of
+    ``np.linalg.norm`` (``np.vdot`` gives ``x.dot(x)``'s bits, but no overflow
+    warning). Where that overflows or the norm is below ``_TINY_NORM``, it is
+    retaken on A / max|a_ij|: inf only if the norm itself overflows."""
+    x = _entries(A).ravel("K")
+    norm = math.sqrt(np.vdot(x, x))
+    if _TINY_NORM <= norm < math.inf:
+        return norm
+    s = float(np.abs(x).max(initial=0.0))
+    if not 0.0 < s < math.inf:  # zero, or an inf or NaN entry
+        return s
+    x = x / s
+    return s * math.sqrt(np.vdot(x, x))
 
 
 def omega(A) -> SymMatrix:

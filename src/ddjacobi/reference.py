@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvalidOptions, NoConvergence
-from .matcore import EPS, _fine_norm, _peak_positive, as_symmatrix
+from .matcore import EPS, _peak_positive, as_symmatrix, frob_norm
 from .solver import _is_int
 
 __all__ = ["EigDecomposition", "full_jacobi"]
@@ -69,7 +69,7 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
         raise InvalidOptions(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     M = as_symmatrix(A)
     n, N = M.n, M.n + M.n % 2
-    frob0 = _fine_norm(M)
+    frob0 = frob_norm(M)
     if frob0 == math.inf:
         raise InputError("the Frobenius norm of the matrix overflows")
     target = math.sqrt(EPS) * frob0
@@ -94,7 +94,7 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
         # for the norm, then restored.
         d = diag.copy()
         diag[:] = 0.0
-        off = _fine_norm(a)
+        off = frob_norm(a)
         diag[:] = d
         if not off > target:
             break

@@ -22,8 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InputError, InvalidOptions
-from .matcore import (_TINY_NORM, EPS, Permutation, SymMatrix, _fine_norm, as_symmatrix,
-                      frob_norm, sort_by_diagonal)
+from .matcore import EPS, Permutation, SymMatrix, as_symmatrix, frob_norm, sort_by_diagonal
 from .rotation import _tangent_cs
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -181,10 +180,9 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
 
 
 def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
-              om: np.ndarray, h: np.ndarray, norm) -> SweepRecord:
-    # One zero-diagonal copy (into the n x n buffer om) serves all four norms,
-    # each taken with norm (frob_norm, or _fine_norm where the matrix needs it);
-    # scaling it into h leaves the diagonal of H at zero and every
+              om: np.ndarray, h: np.ndarray) -> SweepRecord:
+    # One zero-diagonal copy (into the n x n buffer om) serves all four
+    # norms; scaling it into h leaves the diagonal of H at zero and every
     # off-diagonal entry as scaled(a) has it.
     np.copyto(om, a)
     np.fill_diagonal(om, 0.0)
@@ -193,11 +191,11 @@ def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
     if np.all(d != 0.0):
         dh = 1.0 / np.sqrt(np.abs(d))
         np.multiply(om, np.outer(dh, dh, out=h), out=h)
-        alpha, row_h = norm(h), norm(h[m0])
+        alpha, row_h = frob_norm(h), frob_norm(h[m0])
     return SweepRecord(
         sweep=k,
-        off_row_m=norm(om[m0]),
-        off_total=norm(om),
+        off_row_m=frob_norm(om[m0]),
+        off_total=frob_norm(om),
         a_mm=float(a[m0, m0]),
         alpha=alpha,
         off_row_h=row_h,
@@ -401,8 +399,8 @@ class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
     def __init__(self, m: int, scratch: tuple | None):
-        # scratch: the two n x n snapshot buffers all targets share and the
-        # snapshot's norm, or None when no history is recorded.
+        # scratch: the two n x n snapshot buffers all targets share, or None
+        # when no history is recorded.
         self.m0 = m - 1
         self.scratch = scratch
         self.history: list[SweepRecord] = []
@@ -433,15 +431,12 @@ class _Target:
         return True
 
 
-def _off_rows(work: np.ndarray, idx: list[int], m0s: np.ndarray, fine: bool) -> list[float]:
-    """off(A(m,:)) of the stacked targets idx: as :func:`matcore.off_row` sums
-    it, or through ``_fine_norm``'s rescales when ``fine``."""
+def _off_rows(work: np.ndarray, idx: list[int], m0s: np.ndarray) -> list[float]:
+    """off(A(m,:)) of the stacked targets idx, as :func:`matcore.off_row` takes it."""
     m0 = m0s[idx]
     rows = work[idx, m0]
     rows[np.arange(len(idx)), m0] = 0.0
-    if fine:
-        return [_fine_norm(row) for row in rows]
-    return [math.sqrt(row.dot(row)) for row in rows]
+    return [frob_norm(row) for row in rows]
 
 
 def _is_int(x) -> bool:
@@ -474,11 +469,11 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     :func:`_sweep_many` and its cached plan, and their rows' off-norms are
     taken in one pass after each sweep. A target leaves the batch when it
     stops; while a single target is left it runs through :func:`sweep`
-    directly. Where ||A||_F lies outside [1e-140, 1e150), every norm takes
-    ``_fine_norm``'s rescales, so no square overflows or flushes to zero.
-    With ``want_vector`` each applied rotation is logged in 12-16 bytes, and
-    the eigenvectors are rebuilt at the end by applying the logged rotations
-    to e_m in reverse order, then signed and normalized together.
+    directly. Every norm is :func:`matcore.frob_norm`, which rescales where
+    squares would overflow or flush to zero, so 1e200*A and 1e-300*A sweep
+    as A does. With ``want_vector`` each applied rotation is logged in 12-16
+    bytes, and the eigenvectors are rebuilt at the end by applying the logged
+    rotations to e_m in reverse order, then signed and normalized together.
     """
     M = as_symmatrix(A)
     n = M.n
@@ -486,17 +481,11 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
 
     B, perm = sort_by_diagonal(M)
     b = B.a
-    frob = _fine_norm(b)
+    frob = frob_norm(b)
     if frob == math.inf:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
-    # Rotations keep the Frobenius norm, so a row's squares can overflow only
-    # where frob's do; where frob >= 1e-140, its squares flush to zero only
-    # far below the default threshold. Outside that range every norm rescales.
-    fine = not _TINY_NORM <= frob < 1e150
-    scratch = None
-    if opts.record_history:
-        scratch = (np.empty((n, n)), np.empty((n, n)), _fine_norm if fine else frob_norm)
+    scratch = (np.empty((n, n)), np.empty((n, n))) if opts.record_history else None
     runs = [_Target(m, scratch) for m in ranks]
     m0s = np.array([run.m0 for run in runs])
     # sort_by_diagonal returned a private copy, so a lone target works in it.
@@ -505,7 +494,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
 
     k, active, counts = 0, list(range(len(runs))), [0] * len(runs)
     while True:
-        offs = _off_rows(work, active, m0s, fine)
+        offs = _off_rows(work, active, m0s)
         active = [i for i, off_m, rotations in zip(active, offs, counts)
                   if not runs[i].note(work[i], off_m, k, rotations, threshold)]
         k += 1
@@ -521,13 +510,13 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     vectors = [None] * len(runs)
     if log is not None:
         # Row i is target i's vector in the original ordering, its sign set by
-        # _peak_positive's rule and its length by np.linalg.norm's sum.
+        # _peak_positive's rule and its length by frob_norm.
         x = log.vectors(m0s.tolist(), n)
         v = np.empty_like(x)
         v[:, perm.indices] = x
         peaks = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
         np.negative(v, out=v, where=(peaks < 0.0)[:, None])
-        v /= np.array([math.sqrt(row.dot(row)) for row in v])[:, None]
+        v /= np.array([frob_norm(row) for row in v])[:, None]
         vectors = list(v)
     return [EigenpairResult(
         lambda_hat=float(work[i, run.m0, run.m0]),

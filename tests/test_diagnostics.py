@@ -177,6 +177,9 @@ class TestGapHat:
             gap_hat(np.diag([0.0, 1.0]), 1)
         with pytest.raises(IndexError):
             gap_hat(np.diag([1.0, 2.0]), 3)
+        for m in (True, 2.0):  # these answered for rank 1, or failed inside numpy
+            with pytest.raises(IndexError, match="out of range"):
+                gap_hat(np.diag([1.0, 2.0]), m)
 
 
 class TestThm2Bound:

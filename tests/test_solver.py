@@ -361,6 +361,11 @@ def test_history_scaled_fields_none_on_zero_diagonal():
     (lambda: dio.gen_random_dd(12, 0.3, seed=4), 5),
     (lambda: dio.gen_diag_rank1(20), 10),
     (dio.gen_example1, 6),
+    # Squares that flush to zero or overflow: off_row and off_norm used to
+    # read 0.0 at 1e-170 (the records 2.92e-171 and 1.15e-170), and off_row
+    # inf, with an overflow warning, at 1e200.
+    *(pytest.param(lambda s=scale: SymMatrix(s * dio.gen_random_dd(12, 0.3, seed=4).a), 5,
+                   id=f"random_dd-5-{scale:g}") for scale in (1e-170, 1e200)),
 ])
 def test_sweep_record_fields_are_the_public_quantities(make, m):
     A0 = make()
