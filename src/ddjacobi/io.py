@@ -154,6 +154,22 @@ def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
     return True
 
 
+def _lines(fh):
+    """The lines of ``fh`` as ``str.splitlines`` splits its whole text, a
+    list per chunk of ``32 * _BLOCK`` characters (about ``_BLOCK`` lines of
+    the writer's), each partial last line carried into the next chunk. The
+    file is read with universal newlines, so every separator is one character
+    and a sentinel past the chunk's end marks what follows its last one."""
+    carry = ""
+    while chunk := fh.read(32 * _BLOCK):
+        lines = (carry + chunk + "\0").splitlines()
+        carry = lines.pop()[:-1]
+        if lines:
+            yield lines
+    if carry:
+        yield [carry]
+
+
 def read_matrix_market(path) -> SymMatrix:
     """Parse a Matrix Market file into a symmetric matrix.
 
@@ -161,16 +177,92 @@ def read_matrix_market(path) -> SymMatrix:
     or ``pattern`` fields (pattern entries read as 1.0) and ``symmetric`` or
     ``general`` storage. General files must be numerically symmetric within
     4 * eps * max|entry|. Indices are 1-based; symmetric coordinate files
-    store the lower triangle. Blocks of coordinate lines go through numpy's
-    C reader in bulk; a block in doubt is read again line by line with
-    Python's ``int`` and ``float``, where the first offending line raises.
+    store the lower triangle. The file is read in one pass, in chunks of about
+    ``_BLOCK`` lines, and the matrix is allocated once the size line is read.
+    Blocks of coordinate lines go through numpy's C reader in bulk; a block in
+    doubt is read again line by line with Python's ``int`` and ``float``. The
+    first offending line's error is held, and from then on lines are only
+    counted; at the end a wrong entry or value count is raised first, then an
+    order too large to allocate, then the held error.
     """
+    size_no = a = error = None
+    found, read, vals = 0, 0, []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(1, "empty file")
+        for lines in _lines(fh):
+            if not read:
+                fmt, fieldkind, symkind = _header(lines[0])
+                symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
+            # Body lines and their 1-based numbers: blank and % lines (the
+            # banner among them) are dropped by their first non-blank character.
+            keep = list(map(operator.not_, map(_SKIPPED, map(
+                operator.itemgetter(slice(1)), map(str.lstrip, lines)))))
+            body = list(compress(lines, keep))
+            nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + read + 1
+            read += len(lines)
+            if size_no is None and body:
+                size_no, n, nnz = int(nos[0]), *_size_line(body[0], int(nos[0]), fmt)
+                body, nos = body[1:], nos[1:]
+                try:  # np.zeros pages take no memory until written
+                    a = np.zeros((n, n))
+                    seen = np.zeros(n * n if fmt == "coordinate" else 0, dtype=bool)
+                except (MemoryError, ValueError):
+                    a = None
+            for s in range(0, len(body), _BLOCK):
+                block, block_nos = body[s:s + _BLOCK], map(int, nos[s:s + _BLOCK])
+                if fmt == "array":
+                    toks = " ".join(block).split()
+                    found += len(toks)
+                else:
+                    found += len(block)
+                if a is None or error is not None:
+                    continue
+                try:
+                    if fmt == "array":
+                        vals.append(_floats(toks, (
+                            no for ln, no in zip(block, block_nos) for _ in ln.split())))
+                    elif not _bulk_entries(a, seen, block, width, symmetric):
+                        for line, no in zip(block, block_nos):
+                            _place_line(a, seen, line, no, width, symmetric)
+                except ParseError as exc:
+                    error = exc
 
-    header = lines[0].split()
+    if not read:
+        raise ParseError(1, "empty file")
+    if size_no is None:
+        raise ParseError(read, "missing size line")
+    if fmt == "coordinate":
+        want, what = nnz, "entries"
+    else:
+        want, what = n * (n + 1) // 2 if symmetric else n * n, "values"
+    if found != want:
+        raise ParseError(size_no, f"expected {want} {what}, found {found}")
+    if a is None:
+        raise ParseError(size_no, f"order {n} is too large to allocate")
+    if error is not None:
+        try:
+            raise error
+        finally:  # the frame would hold the error, and its traceback the frame
+            error = None
+    del seen
+
+    if fmt == "array":
+        vals = np.concatenate(vals)
+        if symmetric:
+            # The column-major lower triangle is the row-major upper one.
+            upper = np.triu_indices(n)
+            a[upper] = vals
+            a.T[upper] = vals
+        else:
+            a[:] = np.reshape(vals, (n, n)).T
+
+    # Both triangles of a symmetric file are placed from one finite value.
+    return SymMatrix._wrap(a) if symmetric else _numerically_symmetric(a, "general file")
+
+
+def _header(line: str) -> tuple[str, str, str]:
+    """The format, field and storage of a banner line, checked to be ones
+    the reader handles."""
+    header = line.split()
     if (len(header) != 5 or header[0].lower() != "%%matrixmarket"
             or header[1].lower() != "matrix"):
         raise ParseError(1, "expected '%%MatrixMarket matrix <fmt> <field> <sym>'")
@@ -183,87 +275,59 @@ def read_matrix_market(path) -> SymMatrix:
         raise UnsupportedField(f"storage {symkind!r} is not supported")
     if fmt == "array" and fieldkind == "pattern":
         raise ParseError(1, "array format cannot carry a pattern field")
+    return fmt, fieldkind, symkind
 
-    # Body lines and their 1-based numbers: blank and % lines (the banner
-    # among them) are dropped by their first non-blank character.
-    keep = list(map(operator.not_, map(_SKIPPED, map(
-        operator.itemgetter(slice(1)), map(str.lstrip, lines)))))
-    body = list(compress(lines, keep))
-    if not body:
-        raise ParseError(len(lines), "missing size line")
-    nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + 1
 
-    size_no = int(nos[0])
-    toks = body[0].split()
+def _size_line(line: str, no: int, fmt: str) -> tuple[int, int | None]:
+    """The order and the declared entry count (None for an array file) of a
+    size line, checked to describe a square matrix of positive order."""
+    toks = line.split()
     if fmt == "coordinate":
         if len(toks) != 3:
-            raise ParseError(size_no, "coordinate size line needs 'rows cols nnz'")
-        nrows, ncols, nnz = (_parse_int(t, size_no) for t in toks)
+            raise ParseError(no, "coordinate size line needs 'rows cols nnz'")
+        nrows, ncols, nnz = (_parse_int(t, no) for t in toks)
     else:
         if len(toks) != 2:
-            raise ParseError(size_no, "array size line needs 'rows cols'")
-        nrows, ncols = (_parse_int(t, size_no) for t in toks)
+            raise ParseError(no, "array size line needs 'rows cols'")
+        nrows, ncols = (_parse_int(t, no) for t in toks)
+        nnz = None
     if nrows != ncols:
         raise NotSymmetric(f"matrix is {nrows}x{ncols}, not square")
     if nrows < 1:
-        raise ParseError(size_no, "order must be positive")
-    n = nrows
-    entries, nos = body[1:], nos[1:]
+        raise ParseError(no, "order must be positive")
+    return nrows, nnz
 
-    if fmt == "coordinate":
-        if len(entries) != nnz:
-            raise ParseError(size_no, f"expected {nnz} entries, found {len(entries)}")
-    else:
-        want = n * (n + 1) // 2 if symkind == "symmetric" else n * n
-        found = sum(map(len, map(str.split, entries)))
-        if found != want:
-            raise ParseError(size_no, f"expected {want} values, found {found}")
-    try:  # only once the file holds as many entries as it declares
-        a = np.zeros((n, n))
-        seen = np.zeros(n * n if fmt == "coordinate" else 0, dtype=bool)
-    except (MemoryError, ValueError):
-        raise ParseError(size_no, f"order {n} is too large to allocate") from None
 
-    symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
-    vals = []
-    for s in range(0, len(entries), _BLOCK):
-        block, block_nos = entries[s:s + _BLOCK], map(int, nos[s:s + _BLOCK])
-        if fmt == "array":
-            vals.append(_floats(" ".join(block).split(), (
-                no for ln, no in zip(block, block_nos) for _ in ln.split())))
-        elif not _bulk_entries(a, seen, block, width, symmetric):
-            for line, no in zip(block, block_nos):
-                _place_line(a, seen, line, no, width, symmetric)
-
-    if fmt == "array":
-        vals = np.concatenate(vals)
-        if symmetric:
-            # The column-major lower triangle is the row-major upper one.
-            upper = np.triu_indices(n)
-            a[upper] = vals
-            a.T[upper] = vals
-        else:
-            a[:] = np.reshape(vals, (n, n)).T
-
-    return SymMatrix(a) if symmetric else _numerically_symmetric(a, "general file")
+def _lower_block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the lower triangle's entries s to e - 1, counted
+    row by row, taken from the few rows they lie in."""
+    first, last = ((math.isqrt(8 * k + 1) - 1) // 2 for k in (s, e - 1))
+    rows, cols = np.nonzero(np.tri(last - first + 1, last + 1, first, dtype=bool))
+    cut = s - first * (first + 1) // 2
+    return rows[cut:cut + e - s] + first, cols[cut:cut + e - s]
 
 
 def write_matrix_market(path, A) -> None:
-    """Write the lower triangle as coordinate/real/symmetric, losslessly.
-    Only the floats are formatted; the indices come from a table of n strings."""
+    """Write the lower triangle as coordinate/real/symmetric, losslessly,
+    ``_BLOCK`` entries at a time. Only the floats are formatted; the indices
+    come from a table of n strings."""
     a = as_symmatrix(A).a
     n = a.shape[0]
-    rows, cols = np.tril_indices(n)
-    vals = a[rows, cols]
-    keep = vals != 0.0
+    # The triangles are the same, so each holds half the off-diagonal nonzeros.
+    nnz = (np.count_nonzero(a) + np.count_nonzero(a.diagonal())) // 2
     index = list(map("{} ".format, range(1, n + 1)))
-    pairs = map(operator.add, map(index.__getitem__, rows[keep].tolist()),
-                map(index.__getitem__, cols[keep].tolist()))
-    lines = map(operator.add, pairs, map(repr, vals[keep].tolist()))
-    head = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {keep.sum()}"
+    size = n * (n + 1) // 2
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(chain([head], lines)))
-        fh.write("\n")
+        fh.write(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {nnz}\n")
+        for s in range(0, size, _BLOCK):
+            rows, cols = _lower_block(s, min(s + _BLOCK, size))
+            vals = a[rows, cols]
+            keep = vals != 0.0
+            pairs = map(operator.add, map(index.__getitem__, rows[keep].tolist()),
+                        map(index.__getitem__, cols[keep].tolist()))
+            text = "\n".join(map(operator.add, pairs, map(repr, vals[keep].tolist())))
+            if text:
+                fh.write(text + "\n")
 
 
 def read_matrix(path) -> SymMatrix:

@@ -180,23 +180,25 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
 
 
 def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
-              om: np.ndarray, h: np.ndarray) -> SweepRecord:
-    # One zero-diagonal copy (into the n x n buffer om) serves all four
-    # norms; scaling it into h leaves the diagonal of H at zero and every
-    # off-diagonal entry as scaled(a) has it.
-    np.copyto(om, a)
-    np.fill_diagonal(om, 0.0)
-    d = a.diagonal()
+              h: np.ndarray) -> SweepRecord:
+    # The working matrix with its diagonal zeroed in place serves the two
+    # unscaled norms; scaling it into the n x n buffer h leaves the diagonal
+    # of H at zero and every off-diagonal entry as scaled(a) has it. The
+    # diagonal is written back at the end.
+    d = a.diagonal().copy()
+    np.fill_diagonal(a, 0.0)
+    off_row_m, off_total = frob_norm(a[m0]), frob_norm(a)
     alpha = row_h = None
     if np.all(d != 0.0):
         dh = 1.0 / np.sqrt(np.abs(d))
-        np.multiply(om, np.outer(dh, dh, out=h), out=h)
+        np.multiply(a, np.outer(dh, dh, out=h), out=h)
         alpha, row_h = frob_norm(h), frob_norm(h[m0])
+    np.fill_diagonal(a, d)
     return SweepRecord(
         sweep=k,
-        off_row_m=frob_norm(om[m0]),
-        off_total=frob_norm(om),
-        a_mm=float(a[m0, m0]),
+        off_row_m=off_row_m,
+        off_total=off_total,
+        a_mm=float(d[m0]),
         alpha=alpha,
         off_row_h=row_h,
         rotations_applied=rotations,
@@ -398,8 +400,8 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, scratch: tuple | None):
-        # scratch: the two n x n snapshot buffers all targets share, or None
+    def __init__(self, m: int, scratch: np.ndarray | None):
+        # scratch: the n x n snapshot buffer all targets share, or None
         # when no history is recorded.
         self.m0 = m - 1
         self.scratch = scratch
@@ -413,7 +415,7 @@ class _Target:
         """Record the state after sweep k, in which off(A(m,:)) is off_m;
         True once a stopping rule fired."""
         if self.scratch is not None:
-            self.history.append(_snapshot(a, self.m0, k, rotations, *self.scratch))
+            self.history.append(_snapshot(a, self.m0, k, rotations, self.scratch))
         recent = self.recent
         recent.append(off_m)
         self.sweeps_used = k
@@ -485,7 +487,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     if frob == math.inf:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
-    scratch = (np.empty((n, n)), np.empty((n, n))) if opts.record_history else None
+    scratch = np.empty((n, n)) if opts.record_history else None
     runs = [_Target(m, scratch) for m in ranks]
     m0s = np.array([run.m0 for run in runs])
     # sort_by_diagonal returned a private copy, so a lone target works in it.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,13 @@ def rand_sym(rng, n, scale=1.0):
 # both overflow.
 NORM_OVERFLOWS = np.array([[1e308, 1e308, 0.0], [1e308, 1.5e308, 1e308],
                            [0.0, 1e308, 1.7e308]])
+
+
+def peak_bytes(run) -> int:
+    """The peak of the memory tracemalloc traces while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 import ddjacobi.io as dio
 from ddjacobi import (
@@ -570,3 +571,21 @@ class TestGenerators:
     def test_random_dd_validation(self, n, alpha):
         with pytest.raises(ValueError):
             dio.gen_random_dd(n, alpha, seed=0)
+
+
+class TestMatrixMarketMemory:
+    """Beyond the n x n matrix (8 n^2 bytes) and the reader's n^2-byte mask
+    of placed entries, each path holds a few thousand lines at a time."""
+
+    N = 400
+
+    def test_writer_holds_under_one_matrix(self, tmp_path):
+        A = dio.gen_random_dd(self.N, 0.005, 1)
+        peak = peak_bytes(lambda: dio.write_matrix_market(tmp_path / "a.mtx", A))
+        assert peak < 8 * self.N ** 2
+
+    def test_reader_holds_under_three_matrices(self, tmp_path):
+        A = dio.gen_random_dd(self.N, 0.005, 1)
+        dio.write_matrix_market(tmp_path / "a.mtx", A)
+        peak = peak_bytes(lambda: dio.read_matrix_market(tmp_path / "a.mtx"))
+        assert peak < 3 * 8 * self.N ** 2

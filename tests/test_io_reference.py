@@ -476,3 +476,134 @@ def test_block_numpy_reads_in_doubt_goes_line_by_line(scratch, doubt):
         got = outcome(dio.read_matrix_market, scratch)
     assert place.call_count == 3
     assert got == outcome(reference_read, scratch)
+
+
+class _ShortReads:
+    """A text file whose reads return at most k characters, decoded from
+    reads of at most k bytes, so every character and every line separator
+    can fall across a read boundary."""
+
+    def __init__(self, fh, k):
+        self.fh, self.k = fh, k
+        fh._CHUNK_SIZE = k
+
+    def read(self, size=-1):
+        return self.fh.read(self.k if size < 0 else min(size, self.k))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@contextlib.contextmanager
+def short_reads(k):
+    """Make the Matrix Market reader read its file k characters at a time."""
+    real = open
+    with mock.patch.object(dio, "open", lambda *a, **kw: _ShortReads(real(*a, **kw), k),
+                           create=True):
+        yield
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mtx_texts(), k=st.sampled_from([1, 2, 3, 5, 13]),
+       block=st.sampled_from([1, 4096]))
+def test_short_reads_match_reference(scratch, text, k, block):
+    scratch.write_text(text, encoding="utf-8")
+    with mock.patch.object(dio, "_BLOCK", block), short_reads(k):
+        got = outcome(dio.read_matrix_market, scratch)
+    assert got == outcome(reference_read, scratch)
+
+
+# Every line break of str.splitlines; \r\n and \r are read as \n.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("last", ["2 2 2.0", "2 2 x"], ids=["valid", "bad-last-line"])
+@pytest.mark.parametrize("sep", SEPARATORS, ids=[hex(ord(s[-1])) for s in SEPARATORS])
+def test_every_separator_across_a_read_boundary(scratch, sep, last):
+    # Multi-byte characters in a comment and a value (U+0663 reads as 3); with
+    # one-character reads of one byte each, every separator and every UTF-8
+    # sequence is split between reads.
+    lines = ["%%MatrixMarket matrix coordinate real symmetric", "% \xe9t\xe9 \u20ac",
+             "3 3 4", "1 1 1.0", "2 1 0.5", "", "3 3 \u0663", last]
+    scratch.write_bytes(sep.join(lines + [""]).encode("utf-8"))
+    want = outcome(reference_read, scratch)
+    assert (want[0] is ParseError) == (last != "2 2 2.0")
+    for k in (1, 2, 3, 4, 7):
+        for block in (1, 4096):
+            with mock.patch.object(dio, "_BLOCK", block), short_reads(k):
+                assert outcome(dio.read_matrix_market, scratch) == want, (k, block)
+
+
+def _coordinate_file(path, n, entries, declared, bad=()):
+    """A general coordinate file of the first ``entries`` cells of an n x n
+    ones matrix, declaring ``declared`` entries, with the entries at the
+    0-based positions ``bad`` replaced by a malformed line."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][:entries]
+    lines = [f"{i} {j} 1.0" for i, j in cells]
+    for b in bad:
+        lines[b] = f"{cells[b][0]} oops 1.0"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{n} {n} {declared}\n"
+                    + "\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad", [(0,), (4500,), (0, 4500)], ids=["first", "later", "both"])
+def test_a_wrong_count_comes_before_a_malformed_entry(tmp_path, bad):
+    p = tmp_path / "a.mtx"
+    _coordinate_file(p, 100, 5000, 4999, bad)
+    got = outcome(dio.read_matrix_market, p)
+    assert got == (ParseError, 2, "line 2: expected 4999 entries, found 5000")
+    assert got == outcome(reference_read, p)
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_a_bad_line_in_a_later_block_is_named(tmp_path, block):
+    # The first blocks are placed in bulk; line 4503 (entry 4500) is the
+    # first offending one, and line 4903 the second.
+    p = tmp_path / "a.mtx"
+    _coordinate_file(p, 100, 5000, 5000, (4500, 4900))
+    with mock.patch.object(dio, "_BLOCK", block):
+        got = outcome(dio.read_matrix_market, p)
+    assert got == (ParseError, 4503, "line 4503: bad integer 'oops'")
+    assert got == outcome(reference_read, p)
+
+
+def test_an_unallocatable_order_comes_before_a_malformed_entry(tmp_path):
+    p = tmp_path / "a.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                 "100000000 100000000 2\n1 oops 1.0\n2 1 0.5\n", encoding="utf-8")
+    assert outcome(dio.read_matrix_market, p) == (
+        ParseError, 2, "line 2: order 100000000 is too large to allocate")
+
+
+def one_line_per_entry(path, a) -> None:
+    """The plainest writer: one formatted line per nonzero lower entry."""
+    n = len(a)
+    lines = [f"{i + 1} {j + 1} {a[i][j]!r}" for i in range(n) for j in range(i + 1)
+             if a[i][j] != 0.0]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(lines)}\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _signed_zeros():
+    return np.array([[1.0, 0.0, -0.0, 2.5], [0.0, -3.0, 0.5, -0.0],
+                     [-0.0, 0.5, 0.0, 0.0], [2.5, -0.0, 0.0, 4.0]])
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("make", [
+    lambda: np.array([[2.5]]),
+    lambda: np.zeros((5, 5)),
+    _signed_zeros,
+    lambda: dio.gen_random_dd(91, 0.3, 2).a,  # 4,186 lower entries
+], ids=["n1", "all-zero", "signed-zeros", "n91"])
+def test_block_writer_matches_one_line_per_entry(tmp_path, make, block):
+    a = make()
+    with mock.patch.object(dio, "_BLOCK", block):
+        dio.write_matrix_market(tmp_path / "new.mtx", a)
+    one_line_per_entry(tmp_path / "ref.mtx", a.tolist())
+    assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()

@@ -1,4 +1,3 @@
-import tracemalloc
 from array import array
 from dataclasses import replace
 
@@ -26,7 +25,7 @@ from ddjacobi import (
 )
 import ddjacobi.io as dio
 from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided, schur2
-from conftest import NORM_OVERFLOWS, rand_sym
+from conftest import NORM_OVERFLOWS, peak_bytes, rand_sym
 
 
 def replay_sweep(a, m, tol=0.0, V=None, annihilated=None, log=None):
@@ -607,15 +606,6 @@ def test_replayed_vector_matches_accumulated_v():
     assert min(ks) < 0 <= max(ks)    # swapped (~k) and unswapped rotations both ran
 
 
-def peak_bytes(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("ms", [[128], [1, 255]])
 def test_vectors_take_no_n_by_n_storage(ms):
     # An n x n V per target (8 n^2 bytes) would exceed the bound alone. The
@@ -631,3 +621,12 @@ def test_vectors_take_no_n_by_n_storage(ms):
 
     extra = peak_bytes(run(True)) - peak_bytes(run(False))
     assert extra < 8 * len(ms) * 255 ** 2 / 2
+
+
+def test_history_takes_one_snapshot_buffer():
+    # The sorted working copy and one n x n snapshot buffer: the diagonal of
+    # the working copy is zeroed in place for the unscaled norms.
+    n = 400
+    A = dio.gen_random_dd(n, 0.005, 1)
+    opts = SolveOptions(m=n // 2, want_vector=True, record_history=True)
+    assert peak_bytes(lambda: solve(A, opts)) < 2.5 * 8 * n ** 2
