@@ -185,13 +185,30 @@ def read_matrix_market(path) -> SymMatrix:
     counted; at the end a wrong entry or value count is raised first, then an
     order too large to allocate, then the held error.
     """
-    size_no = a = error = None
-    found, read, vals = 0, 0, []
     with open(path, "r", encoding="utf-8") as fh:
-        for lines in _lines(fh):
-            if not read:
-                fmt, fieldkind, symkind = _header(lines[0])
-                symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
+        chunks = _lines(fh)
+        lines = next(chunks, None)
+        if lines is None:
+            raise ParseError(1, "empty file")
+
+        header = lines[0].split()
+        if (len(header) != 5 or header[0].lower() != "%%matrixmarket"
+                or header[1].lower() != "matrix"):
+            raise ParseError(1, "expected '%%MatrixMarket matrix <fmt> <field> <sym>'")
+        fmt, fieldkind, symkind = (h.lower() for h in header[2:5])
+        if fmt not in ("coordinate", "array"):
+            raise ParseError(1, f"unknown format {fmt!r}")
+        if fieldkind not in ("real", "integer", "pattern"):
+            raise UnsupportedField(f"field {fieldkind!r} is not supported")
+        if symkind not in ("symmetric", "general"):
+            raise UnsupportedField(f"storage {symkind!r} is not supported")
+        if fmt == "array" and fieldkind == "pattern":
+            raise ParseError(1, "array format cannot carry a pattern field")
+
+        symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
+        size_no = a = error = None
+        found, read, vals = 0, 0, []
+        while lines is not None:
             # Body lines and their 1-based numbers: blank and % lines (the
             # banner among them) are dropped by their first non-blank character.
             keep = list(map(operator.not_, map(_SKIPPED, map(
@@ -225,9 +242,8 @@ def read_matrix_market(path) -> SymMatrix:
                             _place_line(a, seen, line, no, width, symmetric)
                 except ParseError as exc:
                     error = exc
+            lines = next(chunks, None)
 
-    if not read:
-        raise ParseError(1, "empty file")
     if size_no is None:
         raise ParseError(read, "missing size line")
     if fmt == "coordinate":
@@ -257,25 +273,6 @@ def read_matrix_market(path) -> SymMatrix:
 
     # Both triangles of a symmetric file are placed from one finite value.
     return SymMatrix._wrap(a) if symmetric else _numerically_symmetric(a, "general file")
-
-
-def _header(line: str) -> tuple[str, str, str]:
-    """The format, field and storage of a banner line, checked to be ones
-    the reader handles."""
-    header = line.split()
-    if (len(header) != 5 or header[0].lower() != "%%matrixmarket"
-            or header[1].lower() != "matrix"):
-        raise ParseError(1, "expected '%%MatrixMarket matrix <fmt> <field> <sym>'")
-    fmt, fieldkind, symkind = (h.lower() for h in header[2:5])
-    if fmt not in ("coordinate", "array"):
-        raise ParseError(1, f"unknown format {fmt!r}")
-    if fieldkind not in ("real", "integer", "pattern"):
-        raise UnsupportedField(f"field {fieldkind!r} is not supported")
-    if symkind not in ("symmetric", "general"):
-        raise UnsupportedField(f"storage {symkind!r} is not supported")
-    if fmt == "array" and fieldkind == "pattern":
-        raise ParseError(1, "array format cannot carry a pattern field")
-    return fmt, fieldkind, symkind
 
 
 def _size_line(line: str, no: int, fmt: str) -> tuple[int, int | None]:
