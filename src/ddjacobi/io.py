@@ -217,7 +217,8 @@ def read_matrix_market(path) -> SymMatrix:
             nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + read + 1
             read += len(lines)
             if size_no is None and body:
-                size_no, n, nnz = int(nos[0]), *_size_line(body[0], int(nos[0]), fmt)
+                size_no = int(nos[0])
+                n, nnz = _size_line(body[0], size_no, fmt)
                 body, nos = body[1:], nos[1:]
                 try:  # np.zeros pages take no memory until written
                     a = np.zeros((n, n))

@@ -487,8 +487,8 @@ class _ShortReads:
         self.fh, self.k = fh, k
         fh._CHUNK_SIZE = k
 
-    def read(self, size=-1):
-        return self.fh.read(self.k if size < 0 else min(size, self.k))
+    def read(self, size):
+        return self.fh.read(min(size, self.k))
 
     def __enter__(self):
         return self
@@ -589,16 +589,12 @@ def one_line_per_entry(path, a) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def _signed_zeros():
-    return np.array([[1.0, 0.0, -0.0, 2.5], [0.0, -3.0, 0.5, -0.0],
-                     [-0.0, 0.5, 0.0, 0.0], [2.5, -0.0, 0.0, 4.0]])
-
-
 @pytest.mark.parametrize("block", [1, 7, 4096])
 @pytest.mark.parametrize("make", [
     lambda: np.array([[2.5]]),
     lambda: np.zeros((5, 5)),
-    _signed_zeros,
+    lambda: np.array([[1.0, 0.0, -0.0, 2.5], [0.0, -3.0, 0.5, -0.0],
+                      [-0.0, 0.5, 0.0, 0.0], [2.5, -0.0, 0.0, 4.0]]),
     lambda: dio.gen_random_dd(91, 0.3, 2).a,  # 4,186 lower entries
 ], ids=["n1", "all-zero", "signed-zeros", "n91"])
 def test_block_writer_matches_one_line_per_entry(tmp_path, make, block):
