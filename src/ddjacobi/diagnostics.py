@@ -22,9 +22,8 @@ from .errors import (
     SingleEigenvalue,
     ZeroDiagonal,
 )
-from .matcore import EPS, as_symmatrix, off_norm, scaled, sort_by_diagonal
+from .matcore import EPS, _is_int, as_symmatrix, off_norm, scaled, sort_by_diagonal
 from .reference import _exact_values
-from .solver import _is_int
 
 __all__ = ["GapSet", "DiagnosticsReport", "min_relative_gap", "rel", "alpha",
            "gap_hat", "thm2_bound", "foa_factor", "sep_bound", "fit_rate",
@@ -135,7 +134,7 @@ def thm2_bound(alpha0: float, gamma: float, n: int, ell: int) -> tuple[bool, flo
     and bound = (2.8 * 1.001 * alpha0 / gamma)^ell * alpha0. Valid for
     1 <= ell <= n.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     if n < 3:
         raise ValueError("bound is stated for n >= 3")
@@ -172,9 +171,9 @@ def sep_bound(a_ii: float, off_row_H: float, gamma: float) -> float:
     only needs the scaled row norm and the gap). Quadratic in the residual, so
     it certifies high relative accuracy near convergence; callers must check
     alpha <= gamma / (gamma + 3) for the hypothesis to hold. Raises
-    BoundUndefined when gamma <= 0 (coalesced eigenvalues).
+    BoundUndefined unless gamma > 0 (coalesced eigenvalues, or a NaN gap).
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise BoundUndefined("separation bound needs a positive relative gap")
     return 4.0 * off_row_H * off_row_H / gamma
 

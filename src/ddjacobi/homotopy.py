@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CollapsedGap, InvalidOptions, StepLimit, TrackerStalled
 from .diagnostics import min_relative_gap
-from .matcore import SymMatrix, as_symmatrix, frob_norm, omega
-from .solver import SolveOptions, SolveStatus, _is_int, solve_many
+from .matcore import SymMatrix, _is_int, as_symmatrix, frob_norm, omega
+from .solver import SolveOptions, SolveStatus, solve_many
 
 __all__ = ["GAP_FLOOR", "TrackerConfig", "HomotopyStep", "HomotopyPath",
            "step_length", "track"]

@@ -157,17 +157,11 @@ def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
 def _lines(fh):
     """The lines of ``fh`` as ``str.splitlines`` splits its whole text, a
     list per chunk of ``32 * _BLOCK`` characters (about ``_BLOCK`` lines of
-    the writer's), each partial last line carried into the next chunk. The
-    file is read with universal newlines, so every separator is one character
-    and a sentinel past the chunk's end marks what follows its last one."""
-    carry = ""
+    the writer's) completed by ``readline``. The file is read with universal
+    newlines, so each chunk ends at a ``\\n`` or at the end of the file, and
+    no line spans two chunks."""
     while chunk := fh.read(32 * _BLOCK):
-        lines = (carry + chunk + "\0").splitlines()
-        carry = lines.pop()[:-1]
-        if lines:
-            yield lines
-    if carry:
-        yield [carry]
+        yield (chunk + fh.readline()).splitlines()
 
 
 def read_matrix_market(path) -> SymMatrix:
@@ -178,12 +172,13 @@ def read_matrix_market(path) -> SymMatrix:
     ``general`` storage. General files must be numerically symmetric within
     4 * eps * max|entry|. Indices are 1-based; symmetric coordinate files
     store the lower triangle. The file is read in one pass, in chunks of about
-    ``_BLOCK`` lines, and the matrix is allocated once the size line is read.
-    Blocks of coordinate lines go through numpy's C reader in bulk; a block in
-    doubt is read again line by line with Python's ``int`` and ``float``. The
-    first offending line's error is held, and from then on lines are only
-    counted; at the end a wrong entry or value count is raised first, then an
-    order too large to allocate, then the held error.
+    ``_BLOCK`` whole lines, and the matrix is allocated once the size line is
+    read. Blocks of coordinate lines go through numpy's C reader in bulk; a
+    block in doubt is read again line by line with Python's ``int`` and
+    ``float``. Array values are placed as each block is parsed. Past the first
+    offending line, or past the declared count, lines are only counted; at the
+    end a wrong entry or value count is raised first, then an order too large
+    to allocate, then the first offending line's error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         chunks = _lines(fh)
@@ -207,7 +202,7 @@ def read_matrix_market(path) -> SymMatrix:
 
         symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
         size_no = a = error = None
-        found, read, vals = 0, 0, []
+        found = read = 0
         while lines is not None:
             # Body lines and their 1-based numbers: blank and % lines (the
             # banner among them) are dropped by their first non-blank character.
@@ -218,7 +213,7 @@ def read_matrix_market(path) -> SymMatrix:
             read += len(lines)
             if size_no is None and body:
                 size_no = int(nos[0])
-                n, nnz = _size_line(body[0], size_no, fmt)
+                n, want = _size_line(body[0], size_no, fmt, symmetric)
                 body, nos = body[1:], nos[1:]
                 try:  # np.zeros pages take no memory until written
                     a = np.zeros((n, n))
@@ -227,17 +222,25 @@ def read_matrix_market(path) -> SymMatrix:
                     a = None
             for s in range(0, len(body), _BLOCK):
                 block, block_nos = body[s:s + _BLOCK], map(int, nos[s:s + _BLOCK])
+                start = found
                 if fmt == "array":
                     toks = " ".join(block).split()
                     found += len(toks)
                 else:
                     found += len(block)
-                if a is None or error is not None:
+                if a is None or error is not None or found > want:
                     continue
                 try:
-                    if fmt == "array":
-                        vals.append(_floats(toks, (
-                            no for ln, no in zip(block, block_nos) for _ in ln.split())))
+                    if fmt == "array":  # values come in column-major order
+                        vals = _floats(toks, (
+                            no for ln, no in zip(block, block_nos) for _ in ln.split()))
+                        if not symmetric:
+                            a.T.flat[start:found] = vals
+                        else:  # the lower triangle's column-major order is
+                            # _lower_block's row-major one backwards, i -> n - 1 - i
+                            rows, cols = _lower_block(want - found, want - start)
+                            i, j = n - 1 - rows, n - 1 - cols
+                            a[i, j] = a[j, i] = vals[::-1]
                     elif not _bulk_entries(a, seen, block, width, symmetric):
                         for line, no in zip(block, block_nos):
                             _place_line(a, seen, line, no, width, symmetric)
@@ -247,11 +250,8 @@ def read_matrix_market(path) -> SymMatrix:
 
     if size_no is None:
         raise ParseError(read, "missing size line")
-    if fmt == "coordinate":
-        want, what = nnz, "entries"
-    else:
-        want, what = n * (n + 1) // 2 if symmetric else n * n, "values"
     if found != want:
+        what = "entries" if fmt == "coordinate" else "values"
         raise ParseError(size_no, f"expected {want} {what}, found {found}")
     if a is None:
         raise ParseError(size_no, f"order {n} is too large to allocate")
@@ -261,24 +261,13 @@ def read_matrix_market(path) -> SymMatrix:
         finally:  # the frame would hold the error, and its traceback the frame
             error = None
     del seen
-
-    if fmt == "array":
-        vals = np.concatenate(vals)
-        if symmetric:
-            # The column-major lower triangle is the row-major upper one.
-            upper = np.triu_indices(n)
-            a[upper] = vals
-            a.T[upper] = vals
-        else:
-            a[:] = np.reshape(vals, (n, n)).T
-
     # Both triangles of a symmetric file are placed from one finite value.
     return SymMatrix._wrap(a) if symmetric else _numerically_symmetric(a, "general file")
 
 
-def _size_line(line: str, no: int, fmt: str) -> tuple[int, int | None]:
-    """The order and the declared entry count (None for an array file) of a
-    size line, checked to describe a square matrix of positive order."""
+def _size_line(line: str, no: int, fmt: str, symmetric: bool) -> tuple[int, int]:
+    """The order and the number of entries (coordinate) or values (array) a
+    size line declares, checked to describe a square matrix of positive order."""
     toks = line.split()
     if fmt == "coordinate":
         if len(toks) != 3:
@@ -288,7 +277,7 @@ def _size_line(line: str, no: int, fmt: str) -> tuple[int, int | None]:
         if len(toks) != 2:
             raise ParseError(no, "array size line needs 'rows cols'")
         nrows, ncols = (_parse_int(t, no) for t in toks)
-        nnz = None
+        nnz = nrows * (nrows + 1) // 2 if symmetric else nrows * nrows
     if nrows != ncols:
         raise NotSymmetric(f"matrix is {nrows}x{ncols}, not square")
     if nrows < 1:

@@ -34,6 +34,10 @@ __all__ = [
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _square_finite(entries) -> np.ndarray:
     """A float64 copy of ``entries``, checked to be a finite square matrix."""
     a = np.array(entries, dtype=np.float64)
@@ -83,7 +87,8 @@ class SymMatrix:
         a = _square_finite(entries)
         # An asymmetry past the float range reads inf, above any finite allowance.
         with np.errstate(over="ignore"):
-            diff = np.abs(a - a.T)
+            diff = np.subtract(a, a.T)
+        np.abs(diff, out=diff)
         if not diff.any():  # exactly symmetric input skips the O(n^2) allowance
             return cls._wrap(a)
         d = np.sqrt(np.abs(a.diagonal()))
@@ -199,7 +204,10 @@ class Permutation:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
+        if idx.dtype.kind not in "iu":  # a cast would truncate floats and take bools as 0/1
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+        idx = np.asarray(idx, dtype=np.intp)
         n = idx.size
         if not np.array_equal(np.sort(idx), np.arange(n)):
             raise ValueError("indices are not a permutation of 0..n-1")

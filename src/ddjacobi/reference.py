@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvalidOptions, NoConvergence
-from .matcore import EPS, _peak_positive, as_symmatrix, frob_norm
-from .solver import _is_int
+from .matcore import EPS, _is_int, _peak_positive, as_symmatrix, frob_norm
 
 __all__ = ["EigDecomposition", "full_jacobi"]
 
@@ -55,7 +54,7 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
 
     ``threshold`` gates tiny rotations: entries below
     threshold * frob_norm(A0) / n are skipped within a sweep (0 disables the
-    gate). ``max_sweeps`` must be an integer >= 1. Raises
+    gate; it must be >= 0). ``max_sweeps`` must be an integer >= 1. Raises
     :class:`NoConvergence` if the off-norm is still above
     sqrt(eps) * frob_norm(A0) after ``max_sweeps`` sweeps. ``_vectors=False``
     is the exact modes' values-only path: no basis is rotated and
@@ -67,6 +66,8 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
     """
     if not _is_int(max_sweeps) or max_sweeps < 1:
         raise InvalidOptions(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
+    if not threshold >= 0.0:
+        raise InvalidOptions(f"threshold must be nonnegative, got {threshold!r}")
     M = as_symmatrix(A)
     n, N = M.n, M.n + M.n % 2
     frob0 = frob_norm(M)

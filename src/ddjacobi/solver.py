@@ -22,7 +22,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InputError, InvalidOptions
-from .matcore import EPS, Permutation, SymMatrix, as_symmatrix, frob_norm, sort_by_diagonal
+from .matcore import (EPS, Permutation, SymMatrix, _is_int, as_symmatrix, frob_norm,
+                      sort_by_diagonal)
 from .rotation import _tangent_cs
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -439,10 +440,6 @@ def _off_rows(work: np.ndarray, idx: list[int], m0s: np.ndarray) -> list[float]:
     rows = work[idx, m0]
     rows[np.arange(len(idx)), m0] = 0.0
     return [frob_norm(row) for row in rows]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_options(n: int, ms, opts: SolveOptions) -> list[int]:

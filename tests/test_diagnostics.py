@@ -202,6 +202,8 @@ class TestThm2Bound:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             thm2_bound(0.01, 0.0, 8, 1)
+        with pytest.raises(ValueError, match="gamma"):  # it returned (True, nan)
+            thm2_bound(0.01, math.nan, 5, 1)
         with pytest.raises(ValueError):
             thm2_bound(0.01, 0.5, 2, 1)
         with pytest.raises(ValueError):
@@ -236,6 +238,8 @@ def test_sep_bound_formula():
     assert sep_bound(2.0, 1e-3, 0.25) == pytest.approx(4.0 * 1e-6 / 0.25)
     with pytest.raises(BoundUndefined):
         sep_bound(2.0, 1e-3, 0.0)
+    with pytest.raises(BoundUndefined):  # it returned nan
+        sep_bound(1.0, 0.1, math.nan)
 
 
 class TestFitRate:

@@ -490,6 +490,9 @@ class _ShortReads:
     def read(self, size):
         return self.fh.read(min(size, self.k))
 
+    def readline(self):
+        return self.fh.readline()
+
     def __enter__(self):
         return self
 

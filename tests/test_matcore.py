@@ -269,6 +269,13 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("indices", [[0.5, 1.2], np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_rejects_non_integer_indices(self, indices):
+        # These were cast to [0 1] and [1 0].
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(indices)
+
     def test_apply_definition(self, rng):
         a = rand_sym(rng, 5)
         idx = np.array([3, 0, 4, 1, 2])

@@ -81,6 +81,13 @@ def test_overflowing_norm_is_an_input_error():
         full_jacobi(NORM_OVERFLOWS)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+def test_threshold_must_be_nonnegative(threshold):
+    # nan gated every rotation and ran out the budget, and -1.0 acted as 0.
+    with pytest.raises(InvalidOptions, match="threshold"):
+        full_jacobi(dio.gen_example1(), threshold=threshold)
+
+
 def test_threshold_gate_can_block_progress(rng):
     # a gate far above every entry applies no rotations, so the budget runs out
     a = rand_sym(rng, 5)
