@@ -236,8 +236,8 @@ def read_matrix_market(path) -> SymMatrix:
                             no for ln, no in zip(block, block_nos) for _ in ln.split()))
                         if not symmetric:
                             a.T.flat[start:found] = vals
-                        else:  # the lower triangle's column-major order is
-                            # _lower_block's row-major one backwards, i -> n - 1 - i
+                        else:  # the lower triangle (want values) in column-major order
+                            # is _lower_block's row-major one backwards, i -> n - 1 - i
                             rows, cols = _lower_block(want - found, want - start)
                             i, j = n - 1 - rows, n - 1 - cols
                             a[i, j] = a[j, i] = vals[::-1]
