@@ -71,8 +71,8 @@ def min_relative_gap(values) -> GapSet:
 
     Input order is free (the gap of each entry is reported in input order);
     pairs where both values are exactly zero contribute gap 0. At least two
-    values are required. Each gamma_j comes from its two sorted neighbours:
-    within one sign |x - y| / (|x| + |y|) grows as y moves away from x, and
+    finite values are required. Each gamma_j comes from its two sorted
+    neighbours: within one sign |x - y| / (|x| + |y|) grows with distance, and
     across a sign change it is 1, its maximum. gamma is the all-pairs minimum
     bit for bit; a gamma_j can read up to 4 ulps above it, next to a run of
     near-equal values far larger, where a farther member's ratio rounds lower.
@@ -81,6 +81,8 @@ def min_relative_gap(values) -> GapSet:
     n = v.size
     if n < 2:
         raise SingleEigenvalue("need at least two eigenvalues for a gap")
+    if not np.isfinite(v).all():
+        raise ValueError("eigenvalues must be finite")
     order = np.argsort(v)
     s = v[order]
     if max(-s[0], s[-1]) < 2.0 ** 1023:  # else |x| + |y| may pass the float range
@@ -134,12 +136,14 @@ def thm2_bound(alpha0: float, gamma: float, n: int, ell: int) -> tuple[bool, flo
     and bound = (2.8 * 1.001 * alpha0 / gamma)^ell * alpha0. Valid for
     1 <= ell <= n.
     """
+    if not alpha0 >= 0.0:
+        raise ValueError(f"alpha0 must be nonnegative, got {alpha0!r}")
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    if n < 3:
-        raise ValueError("bound is stated for n >= 3")
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must be in [1, {n}]")
+    if not _is_int(n) or n < 3:
+        raise ValueError(f"bound is stated for integer n >= 3, got {n!r}")
+    if not _is_int(ell) or not 1 <= ell <= n:
+        raise ValueError(f"ell must be an integer in [1, {n}], got {ell!r}")
     applicable, factor = _thm2_rate(alpha0, gamma, n)
     return applicable, factor**ell * alpha0
 

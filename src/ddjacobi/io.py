@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import alpha
 from .errors import AsymmetricInput, NotSymmetric, ParseError, UnsupportedField
-from .matcore import SymMatrix, as_symmatrix
+from .matcore import SymMatrix, _is_int, as_symmatrix
 from .solver import SweepRecord
 from .spectral import PointCloud
 
@@ -438,8 +438,8 @@ def gen_diag_rank1(n: int) -> SymMatrix:
     dominant; the spectrum has tight relative gaps at the low end and wide
     ones at the top.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     x = np.arange(1, n + 1) / (n + 1)
     u = np.sin(math.sqrt(2.0) * math.pi * x)
     a = np.outer(u, u) / n
@@ -454,8 +454,8 @@ def gen_random_dd(n: int, alpha_target: float, seed: int) -> SymMatrix:
     the off-norm of the scaled view equals ``alpha_target`` (exact up to
     rounding, well within 1e-12). Deterministic per seed.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if not 0.0 < alpha_target < 1.0:
         raise ValueError("alpha_target must lie in (0, 1)")
     rng = np.random.default_rng(seed)

@@ -144,8 +144,8 @@ def off_row(A, i: int) -> float:
     """Off-diagonal norm of row i: sqrt(sum_{j != i} a_ij^2). 0-based."""
     a = _entries(A)
     n = a.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"row index {i} out of range for order {n}")
+    if not _is_int(i) or not 0 <= i < n:
+        raise IndexError(f"row index {i!r} out of range for order {n}")
     row = a[i].copy()
     row[i] = 0.0
     return frob_norm(row)
@@ -228,9 +228,11 @@ class Permutation:
 
 
 def _peak_positive(v: np.ndarray) -> np.ndarray:
-    """v with its sign flipped, if needed, so its largest-magnitude entry is
-    positive (lowest index on ties): the package's eigenvector sign rule."""
-    return -v if v[int(np.argmax(np.abs(v)))] < 0.0 else v
+    """v with the sign of each row (along the last axis) flipped, if needed,
+    so its largest-magnitude entry is positive (lowest index on ties): the
+    package's eigenvector sign rule."""
+    peaks = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return np.where(peaks < 0.0, -v, v)
 
 
 def sort_by_diagonal(A) -> tuple[SymMatrix, Permutation]:

@@ -133,10 +133,7 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
     order = np.argsort(diag[:n], kind="stable")
     if not _vectors:
         return EigDecomposition(values=diag[order], vectors=None)
-    vectors = vt[order, :n].T
-    for j in range(n):
-        vectors[:, j] = _peak_positive(vectors[:, j])
-    return EigDecomposition(values=diag[order], vectors=vectors)
+    return EigDecomposition(values=diag[order], vectors=_peak_positive(vt[order, :n]).T)
 
 
 def _exact_values(A) -> np.ndarray:

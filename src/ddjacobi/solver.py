@@ -22,8 +22,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InputError, InvalidOptions
-from .matcore import (EPS, Permutation, SymMatrix, _is_int, as_symmatrix, frob_norm,
-                      sort_by_diagonal)
+from .matcore import (EPS, Permutation, SymMatrix, _is_int, _peak_positive, as_symmatrix,
+                      frob_norm, off_row, sort_by_diagonal)
 from .rotation import _tangent_cs
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -111,8 +111,8 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     """
     a = A.a if isinstance(A, SymMatrix) else A
     n = a.shape[0]
-    if not 1 <= m <= n:
-        raise IndexError(f"eigenvalue rank {m} out of range for order {n}")
+    if not _is_int(m) or not 1 <= m <= n:
+        raise IndexError(f"eigenvalue rank {m!r} out of range for order {n}")
     m0 = m - 1
     count = 0
     # Hand-inlined schur2 + apply_two_sided + apply_right with their
@@ -180,15 +180,15 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     return count
 
 
-def _snapshot(a: np.ndarray, m0: int, k: int, rotations: int,
+def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
               h: np.ndarray) -> SweepRecord:
-    # The working matrix with its diagonal zeroed in place serves the two
-    # unscaled norms; scaling it into the n x n buffer h leaves the diagonal
-    # of H at zero and every off-diagonal entry as scaled(a) has it. The
-    # diagonal is written back at the end.
+    # The working matrix with its diagonal zeroed in place serves the total
+    # off-norm (note passes the row's); scaling it into the n x n buffer h
+    # leaves the diagonal of H at zero and every off-diagonal entry as
+    # scaled(a) has it. The diagonal is written back at the end.
     d = a.diagonal().copy()
     np.fill_diagonal(a, 0.0)
-    off_row_m, off_total = frob_norm(a[m0]), frob_norm(a)
+    off_total = frob_norm(a)
     alpha = row_h = None
     if np.all(d != 0.0):
         dh = 1.0 / np.sqrt(np.abs(d))
@@ -372,6 +372,11 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
         np.multiply(t, c, out=w[0, 1])
         np.negative(w[0, 1], out=w[1, 0])
         w[1, 1] = c
+        tpq = t * apq
+        swap = app - tpq > aqq + tpq
+        if np.count_nonzero(swap):  # sweep's t1 > t2 rotation (s, c, c, -s)
+            w = np.where(swap, w[:, ::-1], w)
+            pairs = None  # a swapped pair logs as (q, p)
         # New row i is w[0, i] * row p + w[1, i] * row q, as in sweep; their
         # entries in columns p and q are sweep's ((c1, d1), (c2, d2)).
         r = w[:, :, :, None] * a2.take(src, axis=0)[:, None]
@@ -380,21 +385,11 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
         prod = w * rf[block]
         vals = np.zeros((2, 2, nlive))  # the block: new (a_pp, a_qq), zeros off it
         np.add(prod[0], prod[1], out=vals.reshape(4, nlive)[::3])
-        dst = src
-        tpq = t * apq
-        swap = app - tpq > aqq + tpq
-        if np.count_nonzero(swap):
-            # Swapping the columns of the rotation swaps where the two
-            # results of the unswapped one land: row/column p <-> q.
-            dst = np.where(swap, src[::-1], src)
-            cols = np.where(swap, cols[::-1], cols)
-            vals = np.where(swap, vals[::-1], vals)
-            pairs = None
         rf[block] = vals
-        a2[dst] = r
+        a2[src] = r
         at[sel, cols] = r
         if log is not None:
-            log.add(_pairs(dst) if pairs is None else pairs, t)
+            log.add(_pairs(np.where(swap, src[::-1], src)) if pairs is None else pairs, t)
     return np.count_nonzero(lives, axis=0).tolist()
 
 
@@ -411,12 +406,11 @@ class _Target:
         self.status = SolveStatus.MAX_SWEEPS
         self.sweeps_used = 0
 
-    def note(self, a: np.ndarray, off_m: float, k: int, rotations: int,
-             threshold: float) -> bool:
-        """Record the state after sweep k, in which off(A(m,:)) is off_m;
-        True once a stopping rule fired."""
+    def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
+        """Record the state after sweep k; True once a stopping rule fired."""
+        off_m = off_row(a, self.m0)
         if self.scratch is not None:
-            self.history.append(_snapshot(a, self.m0, k, rotations, self.scratch))
+            self.history.append(_snapshot(a, self.m0, off_m, k, rotations, self.scratch))
         recent = self.recent
         recent.append(off_m)
         self.sweeps_used = k
@@ -432,14 +426,6 @@ class _Target:
         else:
             return False
         return True
-
-
-def _off_rows(work: np.ndarray, idx: list[int], m0s: np.ndarray) -> list[float]:
-    """off(A(m,:)) of the stacked targets idx, as :func:`matcore.off_row` takes it."""
-    m0 = m0s[idx]
-    rows = work[idx, m0]
-    rows[np.arange(len(idx)), m0] = 0.0
-    return [frob_norm(row) for row in rows]
 
 
 def _check_options(n: int, ms, opts: SolveOptions) -> list[int]:
@@ -465,9 +451,9 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     ranks come from ``ms`` and ``opts.m`` is not used. The matrix is sorted
     and the stopping threshold computed once, then all targets that have not
     stopped sweep together on a (targets x n x n) working stack, through
-    :func:`_sweep_many` and its cached plan, and their rows' off-norms are
-    taken in one pass after each sweep. A target leaves the batch when it
-    stops; while a single target is left it runs through :func:`sweep`
+    :func:`_sweep_many` and its cached plan, each checking its row's
+    :func:`matcore.off_row` after each sweep. A target leaves the batch when
+    it stops; while a single target is left it runs through :func:`sweep`
     directly. Every norm is :func:`matcore.frob_norm`, which rescales where
     squares would overflow or flush to zero, so 1e200*A and 1e-300*A sweep
     as A does. With ``want_vector`` each applied rotation is logged in 12-16
@@ -486,16 +472,14 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     threshold = opts.stop_rel * frob
     scratch = np.empty((n, n)) if opts.record_history else None
     runs = [_Target(m, scratch) for m in ranks]
-    m0s = np.array([run.m0 for run in runs])
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None
 
     k, active, counts = 0, list(range(len(runs))), [0] * len(runs)
     while True:
-        offs = _off_rows(work, active, m0s)
-        active = [i for i, off_m, rotations in zip(active, offs, counts)
-                  if not runs[i].note(work[i], off_m, k, rotations, threshold)]
+        active = [i for i, rotations in zip(active, counts)
+                  if not runs[i].note(work[i], k, rotations, threshold)]
         k += 1
         if not active or k > opts.max_sweeps:
             break
@@ -510,11 +494,8 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     if log is not None:
         # Row i is target i's vector in the original ordering, its sign set by
         # _peak_positive's rule and its length by frob_norm.
-        x = log.vectors(m0s.tolist(), n)
-        v = np.empty_like(x)
-        v[:, perm.indices] = x
-        peaks = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
-        np.negative(v, out=v, where=(peaks < 0.0)[:, None])
+        x = log.vectors([run.m0 for run in runs], n)
+        v = _peak_positive(perm.scatter(x.T).T)
         v /= np.array([frob_norm(row) for row in v])[:, None]
         vectors = list(v)
     return [EigenpairResult(

@@ -78,6 +78,14 @@ class TestMinRelativeGap:
         with pytest.raises(SingleEigenvalue):
             min_relative_gap([1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # A NaN read as gamma = 0.0, a collapsed gap; an inf warned in divide.
+        with pytest.raises(ValueError, match="finite"):
+            min_relative_gap([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            diagnose(dio.gen_example1(), 2, values=[1.0, 2.0, bad] + [4.0] * 8)
+
     def test_chunked_matches_bruteforce(self, rng):
         v = rng.standard_normal(300)
         gaps = min_relative_gap(v)
@@ -210,6 +218,11 @@ class TestThm2Bound:
             thm2_bound(0.01, 0.5, 8, 0)
         with pytest.raises(ValueError):
             thm2_bound(0.01, 0.5, 8, 9)
+        # ell = 1.5 and True gave bounds; a NaN alpha0 gave (False, nan).
+        for args in ((0.001, 0.5, 8, 1.5), (0.001, 0.5, 8, True), (0.001, 0.5, 8.0, 1),
+                     (math.nan, 0.5, 8, 1), (-0.001, 0.5, 8, 1)):
+            with pytest.raises(ValueError):
+                thm2_bound(*args)
 
 
 def test_foa_factor_matches_direct_computation(rng):

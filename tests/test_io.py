@@ -550,6 +550,9 @@ class TestGenerators:
     def test_diag_rank_one_needs_two(self):
         with pytest.raises(ValueError):
             dio.gen_diag_rank1(1)
+        for n in (3.5, 4.0, True):  # 3.5 gave a 4 x 4 matrix on the grid i/4.5
+            with pytest.raises(ValueError):
+                dio.gen_diag_rank1(n)
 
     def test_random_dd_diag_and_alpha(self):
         n = 12
@@ -567,7 +570,8 @@ class TestGenerators:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("n,alpha", [(1, 0.1), (5, 0.0), (5, 1.0), (5, -0.2)])
+    @pytest.mark.parametrize("n,alpha", [(1, 0.1), (5, 0.0), (5, 1.0), (5, -0.2),
+                                         (4.0, 0.1), (3.5, 0.1), (True, 0.1)])
     def test_random_dd_validation(self, n, alpha):
         with pytest.raises(ValueError):
             dio.gen_random_dd(n, alpha, seed=0)

@@ -15,6 +15,7 @@ from ddjacobi import (
     scaled,
     sort_by_diagonal,
 )
+from ddjacobi.matcore import _peak_positive
 from conftest import rand_sym
 
 
@@ -189,6 +190,24 @@ def test_off_row_matches_bruteforce(rng):
         off_row(a, 7)
     with pytest.raises(IndexError):
         off_row(a, -1)
+    for i in (True, 2.0):  # a[True] read as a mask gave 0.0; 2.0 failed inside numpy
+        with pytest.raises(IndexError):
+            off_row(a, i)
+
+
+def test_peak_positive_is_the_row_rule(rng):
+    v = rng.standard_normal((6, 7))
+    v[:, 3] = 4.0  # rows 0, 2, 4 tie +4 with -4: the first index keeps them
+    v[::2, 5] = -4.0
+    v[1, 3] = v[3, 3] = -4.0  # rows 1 and 3 flip, row 3 on a tie with +4
+    v[3, 5] = 4.0
+    v[-1] = 0.0  # a zero row stays as it is
+    want = [-r if r[np.argmax(np.abs(r))] < 0.0 else r for r in v]
+    got = _peak_positive(v)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, [_peak_positive(row) for row in v])
+    assert [not np.array_equal(g, r) for g, r in zip(got, v)] == [0, 1, 0, 1, 0, 0]
+    assert not np.signbit(got[-1]).any()
 
 
 def test_frob_norm(rng):

@@ -154,6 +154,9 @@ def test_sweep_rank_validation(rng):
         sweep(a, 0)
     with pytest.raises(IndexError):
         sweep(a, 5)
+    for m in (True, 2.0):  # True swept rank 1; 2.0 failed inside numpy
+        with pytest.raises(IndexError):
+            sweep(a, m)
 
 
 class TestSolveStatuses:
