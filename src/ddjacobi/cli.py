@@ -22,7 +22,6 @@ from . import io as dio
 from .diagnostics import diagnose, min_relative_gap
 from .errors import (
     CollapsedGap,
-    InputError,
     InvalidOptions,
     NoConvergence,
     StepLimit,
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
     except (_UsageError, InvalidOptions) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return int(ExitCode.USAGE)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return int(ExitCode.DATA)
     except OSError as exc:

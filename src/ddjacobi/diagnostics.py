@@ -85,12 +85,11 @@ def min_relative_gap(values) -> GapSet:
         raise ValueError("eigenvalues must be finite")
     order = np.argsort(v)
     s = v[order]
-    if max(-s[0], s[-1]) < 2.0 ** 1023:  # else |x| + |y| may pass the float range
+    with np.errstate(over="ignore"):  # |x| + |y| may pass the float range
         diff, den = s[1:] - s[:-1], np.abs(s[1:]) + np.abs(s[:-1])
-    else:  # pairs that overflow come from halved values, exact at that size
-        with np.errstate(over="ignore"):
-            diff, den = s[1:] - s[:-1], np.abs(s[1:]) + np.abs(s[:-1])
-        big, h = np.isinf(den), 0.5 * s
+    big = np.isinf(den)  # |diff| <= den, so an inf diff has an inf den
+    if big.any():  # those pairs come from halved values, exact at that size
+        h = 0.5 * s
         diff[big], den[big] = (h[1:] - h[:-1])[big], (np.abs(h[1:]) + np.abs(h[:-1]))[big]
     # r[i + 1]: gap of sorted neighbours i, i + 1 (zeros keep 0); inf pads.
     r = np.zeros(n + 1)
@@ -213,11 +212,11 @@ def diagnose(A, m: int, values=None, exact: bool = False,
              history=None, frob0: float | None = None) -> DiagnosticsReport:
     """Assemble a DiagnosticsReport for target rank m.
 
-    ``values``: optional ascending spectrum for exact-mode gaps; with
-    ``exact=True`` and no values given, the classical Jacobi oracle computes
-    them up to n = 128 and LAPACK above. Otherwise gamma/gamma_m/rho and the
-    certified bound are left as None. ``history`` (plus optionally ``frob0``)
-    engages rate fitting; an unusable history leaves fitted_rate as None.
+    ``values``: optional spectrum for exact-mode gaps, all n eigenvalues in
+    any order (ValueError otherwise); with ``exact=True`` and none given, the
+    classical Jacobi oracle computes them up to n = 128 and LAPACK above.
+    Otherwise gamma/gamma_m/rho and the certified bound are None. ``history``
+    (plus ``frob0``) engages rate fitting; an unusable one leaves fitted_rate None.
     """
     M = as_symmatrix(A)
     a0 = alpha(M)
@@ -230,6 +229,9 @@ def diagnose(A, m: int, values=None, exact: bool = False,
     gamma = gamma_m = rho = rate_bound = None
     applicable: bool | None = None
     if values is not None:
+        values = np.sort(np.asarray(values, dtype=np.float64).ravel())
+        if values.size != M.n:
+            raise ValueError(f"values must hold all {M.n} eigenvalues, got {values.size}")
         gaps = min_relative_gap(values)
         gamma = gaps.gamma
         gamma_m = float(gaps.gamma_j[m - 1])

@@ -106,8 +106,6 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     cfg = cfg if cfg is not None else TrackerConfig()
     if not _is_int(cfg.max_steps) or cfg.max_steps < 1:
         raise InvalidOptions(f"max_steps must be an integer >= 1, got {cfg.max_steps!r}")
-    if not cfg.c > 0.0:
-        raise InvalidOptions("step constant c must be positive")
     M = as_symmatrix(A)
     n = M.n
     om = omega(M).a

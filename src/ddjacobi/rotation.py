@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .matcore import SymMatrix
 
 __all__ = ["Schur2Result", "schur2", "apply_two_sided", "apply_right"]
@@ -68,7 +69,14 @@ def schur2(b11: float, b12: float, b22: float) -> Schur2Result:
     return Schur2Result(u=u, t=(t1, t2))
 
 
-def _as_plane_matrix(U) -> np.ndarray:
+def _as_plane_matrix(a: np.ndarray, p: int, q: int, U) -> np.ndarray:
+    """U's 2x2 block (array or Schur2Result) for rotating the (p, q) plane of
+    ``a`` in place. Checks, in order: the plane, a's float64 dtype, U's shape."""
+    n = a.shape[0]
+    if not (0 <= p < n and 0 <= q < n) or p == q:
+        raise IndexError(f"invalid plane ({p}, {q}) for order {n}")
+    if a.dtype != np.float64:
+        raise InputError(f"rotations work in place on float64, got {a.dtype}")
     u = np.asarray(getattr(U, "u", U), dtype=np.float64)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
@@ -83,10 +91,7 @@ def apply_two_sided(A, p: int, q: int, U) -> None:
     entries are written from one computed value so symmetry stays bit-exact.
     """
     a = A.a if isinstance(A, SymMatrix) else A
-    n = a.shape[0]
-    if not (0 <= p < n and 0 <= q < n) or p == q:
-        raise IndexError(f"invalid plane ({p}, {q}) for order {n}")
-    u = _as_plane_matrix(U)
+    u = _as_plane_matrix(a, p, q, U)
     u11, u12 = u[0, 0], u[0, 1]
     u21, u22 = u[1, 0], u[1, 1]
     app, apq, aqq = a[p, p], a[p, q], a[q, q]
@@ -112,10 +117,7 @@ def apply_two_sided(A, p: int, q: int, U) -> None:
 
 def apply_right(V: np.ndarray, p: int, q: int, U) -> None:
     """In-place V(:, [p, q]) <- V(:, [p, q]) U (accumulates rotations)."""
-    n = V.shape[0]
-    if not (0 <= p < n and 0 <= q < n) or p == q:
-        raise IndexError(f"invalid plane ({p}, {q}) for order {n}")
-    u = _as_plane_matrix(U)
+    u = _as_plane_matrix(V, p, q, U)
     vp, vq = V[:, p], V[:, q]
     col_p = u[0, 0] * vp + u[1, 0] * vq
     col_q = u[0, 1] * vp + u[1, 1] * vq

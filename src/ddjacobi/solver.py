@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError, InvalidOptions
 from .matcore import (EPS, Permutation, SymMatrix, _is_int, _peak_positive, as_symmatrix,
                       frob_norm, off_row, sort_by_diagonal)
-from .rotation import _tangent_cs
+from .rotation import _tangent_cs, apply_right
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
            "STOP_REL_DEFAULT", "solve", "solve_many", "sweep"]
@@ -106,30 +106,31 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     pairs are written as exact zeros. Row and column m are written once, at
     the end. ``_log`` is the solver's own rotation log: each applied
     rotation appends k (~k when the t1 > t2 swap fired) and its tangent t.
-    ``V`` accumulates the rotations in its columns: :func:`solve` never passes
-    it, but the benchmark's probe rows and the tests' vector oracle do.
+    ``V`` accumulates the rotations in its columns through ``apply_right``:
+    :func:`solve` never passes it, but the benchmark's probe rows and the
+    tests' vector oracle do. A and V must be float64 (InputError otherwise).
     """
     a = A.a if isinstance(A, SymMatrix) else A
     n = a.shape[0]
     if not _is_int(m) or not 1 <= m <= n:
         raise IndexError(f"eigenvalue rank {m!r} out of range for order {n}")
+    if a.dtype != np.float64:
+        raise InputError(f"sweep works in place on float64, got {a.dtype}")
     m0 = m - 1
     count = 0
-    # Hand-inlined schur2 + apply_two_sided + apply_right with their
-    # arithmetic, so bit-identical to replaying the rotations through them
-    # (the tests check). Rows k and m rotate together in r, where row m stays
-    # for the whole sweep; the stale row and column m of the matrix reach only
-    # the 2x2 slots, which are overwritten. A rotation is two ufunc calls
-    # (x[j, i] = w[j, i] r[j], then r = x[0] + x[1]: the same products and
-    # add), a row load, a row write and one strided column write, with scalar
-    # math on Python floats.
+    # Hand-inlined schur2 + apply_two_sided with their arithmetic, so
+    # bit-identical to replaying the rotations through them (the tests
+    # check); V goes through apply_right, ahead of A's writes. Rows k and m
+    # rotate together in r, where row m stays for the whole sweep; the stale
+    # row and column m of the matrix reach only the 2x2 slots, which are
+    # overwritten. A rotation is two ufunc calls (x[j, i] = w[j, i] r[j],
+    # then r = x[0] + x[1]: the same products and add), a row load, a row
+    # write and one strided column write, with scalar math on Python floats.
     r, x, w = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, 2, 1))
     rk, rm = r
     x0, x1, wf, r3 = x[0], x[1], w.reshape(4), r[:, None]
     rm[:] = a[m0]
     amm = a.item(m0, m0)
-    if V is not None:
-        vbp, vbq, tmp = np.empty((3, V.shape[0]))
     plan = list(range(0, m0)) + list(range(n - 1, m0, -1))
     for k in plan:
         apq = rm.item(k)
@@ -144,6 +145,8 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
             w11, w12, w21, w22 = c, s, -s, c
         else:
             w11, w12, w21, w22 = s, c, c, -s
+        if V is not None:
+            apply_right(V, p, q, ((w11, w12), (w21, w22)))
         if _log is not None:
             _log[0].append(k if t1 <= t2 else ~k)
             _log[1].append(t)
@@ -162,16 +165,6 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
         rm[k] = 0.0
         a[k] = rk
         a[:, k] = rk
-        if V is not None:
-            vp, vq = V[:, p], V[:, q]
-            np.multiply(vp, w11, out=vbp)
-            np.multiply(vq, w21, out=tmp)
-            vbp += tmp
-            np.multiply(vp, w12, out=vbq)
-            np.multiply(vq, w22, out=tmp)
-            vbq += tmp
-            V[:, p] = vbp
-            V[:, q] = vbq
         count += 1
     if count:
         rm[m0] = amm

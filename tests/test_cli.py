@@ -3,9 +3,10 @@ import gc
 import numpy as np
 import pytest
 
+import ddjacobi.cli as cli
 import ddjacobi.io as dio
 import ddjacobi.solver as solver
-from ddjacobi import full_jacobi
+from ddjacobi import NoConvergence, StepLimit, full_jacobi
 from ddjacobi.cli import ExitCode, main
 from conftest import rand_sym
 
@@ -255,6 +256,24 @@ class TestFull:
         assert lines[0] == "index,value"
         assert len(lines) == 9
         assert float(lines[1].split(",")[1]) == vals[0]
+
+
+class TestIterationBudget:
+    """Exit 3 when the classical oracle or the tracker runs out of budget."""
+
+    def test_full_no_convergence(self, dom_mtx, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergence("budget spent")
+        monkeypatch.setattr(cli, "full_jacobi", no_convergence)
+        assert main(["full", "--input", str(dom_mtx)]) == ExitCode.MAX_SWEEPS == 3
+        assert capsys.readouterr().err == "NoConvergence: budget spent\n"
+
+    def test_track_step_limit(self, dom_mtx, monkeypatch, capsys):
+        def step_limit(*args, **kwargs):
+            raise StepLimit("no arrival")
+        monkeypatch.setattr(cli, "track", step_limit)
+        assert main(["track", "--input", str(dom_mtx)]) == ExitCode.MAX_SWEEPS == 3
+        assert capsys.readouterr().err == "StepLimit: no arrival\n"
 
 
 class TestCluster:

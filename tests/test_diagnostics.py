@@ -308,6 +308,23 @@ class TestDiagnose:
         assert rep.gamma == pytest.approx(gaps.gamma, rel=1e-14)
         assert rep.gamma_m == pytest.approx(float(gaps.gamma_j[5]), rel=1e-14)
 
+    def test_supplied_values_in_any_order(self):
+        # gamma_m was read at input position m, so only an ascending
+        # spectrum gave the gap of rank m.
+        A = dio.gen_example1()
+        w = np.linalg.eigvalsh(A.to_array())
+        assert diagnose(A, 6, values=w[::-1]).gamma_m == 0.07692716904813092
+        for m in (2, 6, 11):
+            want = diagnose(A, m, values=w)
+            assert diagnose(A, m, values=w[::-1]) == want
+            assert diagnose(A, m, values=np.roll(w, 3).tolist()) == want
+
+    @pytest.mark.parametrize("count", [3, 10, 12])
+    def test_supplied_values_must_be_the_whole_spectrum(self, count):
+        # Three values for rank 5 of an 11x11 matrix raised a bare IndexError.
+        with pytest.raises(ValueError, match="all 11 eigenvalues"):
+            diagnose(dio.gen_example1(), 5, values=np.arange(1.0, count + 1))
+
     def test_history_engages_rate_fit(self):
         A = dio.gen_example1()
         res = solve(A, SolveOptions(m=6, stop_rel=0.0))

@@ -6,6 +6,7 @@ import pytest
 import ddjacobi.homotopy as homotopy
 from ddjacobi import (
     GAP_FLOOR,
+    AsymmetricInput,
     CollapsedGap,
     InvalidOptions,
     SolveOptions,
@@ -222,11 +223,17 @@ def test_max_steps_is_an_integer(budget):
 
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
 def test_step_constant_checked_up_front(c):
-    # n = 1 never reaches step_length, so the check must come first
+    # step_length checks c before the first solve, n = 1 included
     with pytest.raises(InvalidOptions):
         track(np.array([[4.2]]), TrackerConfig(c=c))
     with pytest.raises(InvalidOptions):
         track(dio.gen_random_dd(4, 0.1, seed=0), TrackerConfig(c=c))
+
+
+def test_matrix_checked_before_step_constant():
+    # track reads the matrix first; step_length then checks c at t = 0.
+    with pytest.raises(AsymmetricInput):
+        track(np.array([[1.0, 0.5], [0.0, 2.0]]), TrackerConfig(c=0.0))
 
 
 def test_orthonormalize_is_the_gram_schmidt_basis(rng):

@@ -493,6 +493,10 @@ class TestHistoryCsv:
         dio.write_history_csv(p, self.rows())
         back = dio.read_history_csv(p)
         assert back == self.rows()
+        # Blank lines between and after the rows are skipped.
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join([lines[0], lines[1], "", "  ", lines[2], ""]) + "\n")
+        assert dio.read_history_csv(p) == self.rows()
 
     def test_header_line(self, tmp_path):
         p = tmp_path / "h.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddjacobi import (
+    InputError,
     SymMatrix,
     apply_right,
     apply_two_sided,
@@ -158,6 +159,24 @@ class TestApplyTwoSided:
             apply_two_sided(a, 0, 4, np.eye(2))
         with pytest.raises(ValueError):
             apply_two_sided(a, 0, 1, np.eye(3))
+        # The plane is checked first, then the dtype, then the block's shape.
+        with pytest.raises(IndexError):
+            apply_two_sided(a.astype(np.float32), 1, 1, np.eye(3))
+        with pytest.raises(InputError, match="float64"):
+            apply_two_sided(a.astype(np.float32), 0, 1, np.eye(3))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_non_float64_rejected_in_place(self, dtype):
+        # Rotated values were cast into the array: truncated or rounded.
+        a = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 5]], dtype=dtype)
+        u = schur2(2.0, 1.0, 3.0)
+        with pytest.raises(InputError, match="float64"):
+            apply_two_sided(a, 0, 1, u)
+        V = np.eye(3, dtype=dtype)
+        with pytest.raises(InputError, match="float64"):
+            apply_right(V, 0, 1, u)
+        assert np.array_equal(a, [[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+        assert np.array_equal(V, np.eye(3))
 
 
 def test_apply_right_accumulates(rng):

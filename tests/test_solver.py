@@ -157,6 +157,16 @@ def test_sweep_rank_validation(rng):
     for m in (True, 2.0):  # True swept rank 1; 2.0 failed inside numpy
         with pytest.raises(IndexError):
             sweep(a, m)
+    # An integer A kept truncated rotations (diag(1, 3, 5) came back), and a
+    # float32 V lost precision; both are now refused before anything moves.
+    ints = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+    with pytest.raises(InputError, match="float64"):
+        sweep(ints, 2)
+    assert ints.tolist() == [[2, 1, 0], [1, 3, 1], [0, 1, 5]]
+    b = a.copy()
+    with pytest.raises(InputError, match="float64"):
+        sweep(b, 2, 0.0, np.eye(4, dtype=np.float32))
+    assert np.array_equal(b, a)
 
 
 class TestSolveStatuses:
