@@ -22,7 +22,7 @@ from .errors import (
     SingleEigenvalue,
     ZeroDiagonal,
 )
-from .matcore import EPS, _is_int, as_symmatrix, off_norm, scaled, sort_by_diagonal
+from .matcore import EPS, _is_int, as_symmatrix, frob_norm, scaled, sort_by_diagonal
 from .reference import _exact_values
 
 __all__ = ["GapSet", "DiagnosticsReport", "min_relative_gap", "rel", "alpha",
@@ -102,7 +102,9 @@ def min_relative_gap(values) -> GapSet:
 
 def alpha(A) -> float:
     """off-norm of the scaled matrix H = |D|^{-1/2} A |D|^{-1/2}."""
-    return off_norm(scaled(A))
+    h = scaled(A).a
+    np.fill_diagonal(h, 0.0)  # off_norm, without omega's copy of a private h
+    return frob_norm(h)
 
 
 def gap_hat(A, m: int) -> float:
@@ -162,9 +164,12 @@ def foa_factor(A, m: int) -> float:
     """
     B, _ = sort_by_diagonal(as_symmatrix(A))
     g = gap_hat(B, m)
+    keep = np.arange(B.n) != (m - 1)
     h = scaled(B).a
-    keep = np.arange(h.shape[0]) != (m - 1)
-    return off_norm(h[np.ix_(keep, keep)]) / (math.sqrt(2.0) * g)
+    del B  # B, h and the submatrix are never all held at once
+    h = h[np.ix_(keep, keep)]
+    np.fill_diagonal(h, 0.0)
+    return frob_norm(h) / (math.sqrt(2.0) * g)
 
 
 def sep_bound(a_ii: float, off_row_H: float, gamma: float) -> float:

@@ -76,9 +76,10 @@ def _parse_int(token: str, lineno: int) -> int:
 
 
 def _numerically_symmetric(a: np.ndarray, what: str) -> SymMatrix:
-    """:meth:`SymMatrix.symmetrized`, reporting asymmetry as NotSymmetric."""
+    """:meth:`SymMatrix.symmetrized` on the reader's own finite matrix, in
+    place, reporting asymmetry as NotSymmetric."""
     try:
-        return SymMatrix.symmetrized(a)
+        return SymMatrix._symmetrize(a)
     except AsymmetricInput as exc:
         raise NotSymmetric(f"{what} is not numerically symmetric") from exc
 
@@ -427,7 +428,7 @@ def gen_example1() -> SymMatrix:
     a[5, :] = 1.0 / 100.0
     a[:, 5] = 1.0 / 100.0
     np.fill_diagonal(a, np.arange(1.0, 12.0))
-    return SymMatrix(a)
+    return SymMatrix._wrap(a)
 
 
 def gen_diag_rank1(n: int) -> SymMatrix:
@@ -442,9 +443,10 @@ def gen_diag_rank1(n: int) -> SymMatrix:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     x = np.arange(1, n + 1) / (n + 1)
     u = np.sin(math.sqrt(2.0) * math.pi * x)
-    a = np.outer(u, u) / n
+    a = np.outer(u, u)  # u_i u_j and u_j u_i are one product
+    a /= n
     np.fill_diagonal(a, a.diagonal() + 1.0 + x)
-    return SymMatrix(a)
+    return SymMatrix._wrap(a)
 
 
 def gen_random_dd(n: int, alpha_target: float, seed: int) -> SymMatrix:
@@ -459,9 +461,13 @@ def gen_random_dd(n: int, alpha_target: float, seed: int) -> SymMatrix:
     if not 0.0 < alpha_target < 1.0:
         raise ValueError("alpha_target must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    upper = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
-    off = upper + upper.T
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
+    # The upper triangle mirrored has the bits of triu(a, 1) + triu(a, 1).T:
+    # x + 0.0 is x for every draw, as -1 + 2u is never -0.0.
+    for i in range(1, n):
+        a[i, :i] = a[:i, i]
     d = np.arange(1.0, n + 1.0)
-    a = off * (alpha_target / alpha(off + np.diag(d)))
     np.fill_diagonal(a, d)
-    return SymMatrix(a)
+    a *= alpha_target / alpha(a)  # finite: nonzero draws are at least 2**-52
+    np.fill_diagonal(a, d)
+    return SymMatrix._wrap(a)

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(np.float64).eps)
+_BLOCK = 1 << 13  # entries in a block of rows in SymMatrix._symmetrize (16 rows at least)
 
 
 def _is_int(x) -> bool:
@@ -43,6 +44,11 @@ def _square_finite(entries) -> np.ndarray:
     a = np.array(entries, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _finite(a)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, checked to hold only finite entries."""
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -84,26 +90,46 @@ class SymMatrix:
         of a small entry; where a_ii or a_jj is zero it is ``4*eps*max|a_ij|``,
         which also caps the scaled value (rounding can lift that an ulp above).
         """
-        a = _square_finite(entries)
-        # An asymmetry past the float range reads inf, above any finite allowance.
-        with np.errstate(over="ignore"):
-            diff = np.subtract(a, a.T)
-        np.abs(diff, out=diff)
-        if not diff.any():  # exactly symmetric input skips the O(n^2) allowance
-            return cls._wrap(a)
+        return cls._symmetrize(_square_finite(entries))
+
+    @classmethod
+    def _symmetrize(cls, a: np.ndarray) -> "SymMatrix":
+        """:meth:`symmetrized` on a private finite square float64 array, checked
+        and then averaged in place, a block of rows s:e at a time from column s
+        on. Row-major, the first offending entry lies above the diagonal, so it
+        is the first one these blocks meet, and the one reported."""
+        n = a.shape[0]
+        rows = max(16, _BLOCK // n)
         d = np.sqrt(np.abs(a.diagonal()))
-        scale = np.outer(d, d)
-        scale[scale == 0.0] = np.inf
-        limit = 4.0 * EPS * np.minimum(scale, float(np.abs(a).max()))
-        bad = diff > limit
-        if bad.any():
-            i, j = np.unravel_index(bad.argmax(), bad.shape)
-            raise AsymmetricInput(
-                f"asymmetry {diff[i, j]:.3e} at ({i}, {j}) exceeds its "
-                f"allowance {limit[i, j]:.3e}"
-            )
-        # Halving first cannot overflow, and is exact above the subnormals.
-        return cls._wrap(0.5 * a + 0.5 * a.T)
+        top = max(float(a.max()), -float(a.min()))  # max|a_ij|, no n x n temporary
+        asymmetric = False
+        for s in range(0, n, rows):
+            e = s + rows
+            # An asymmetry past the float range reads inf, above any finite allowance.
+            with np.errstate(over="ignore"):
+                diff = np.subtract(a[s:e, s:], a[s:, s:e].T)
+            np.abs(diff, out=diff)
+            if not diff.any():  # exactly symmetric rows skip the allowance
+                continue
+            asymmetric = True
+            scale = np.outer(d[s:e], d[s:])
+            scale[scale == 0.0] = np.inf
+            limit = 4.0 * EPS * np.minimum(scale, top)
+            bad = diff > limit
+            if bad.any():
+                i, j = np.unravel_index(bad.argmax(), bad.shape)
+                raise AsymmetricInput(
+                    f"asymmetry {diff[i, j]:.3e} at ({s + i}, {s + j}) exceeds "
+                    f"its allowance {limit[i, j]:.3e}"
+                )
+        if asymmetric:  # exactly symmetric input comes back as it is
+            for s in range(0, n, rows):
+                e = s + rows
+                # Halving first cannot overflow, and is exact above the subnormals.
+                mean = 0.5 * a[s:e, s:] + 0.5 * a[s:, s:e].T
+                a[s:e, s:] = mean
+                a[s:, s:e] = mean.T
+        return cls._wrap(a)
 
     @property
     def n(self) -> int:
@@ -192,7 +218,8 @@ def scaled(A) -> SymMatrix:
     if zero.size:
         raise ZeroDiagonal(int(zero[0]) + 1)
     dh = 1.0 / np.sqrt(np.abs(d))
-    h = a * np.outer(dh, dh)
+    h = np.outer(dh, dh)
+    np.multiply(a, h, out=h)
     np.fill_diagonal(h, np.sign(d))
     return SymMatrix._wrap(h)
 

@@ -71,8 +71,9 @@ def schur2(b11: float, b12: float, b22: float) -> Schur2Result:
 
 def _as_plane_matrix(a: np.ndarray, p: int, q: int, U) -> np.ndarray:
     """U's 2x2 block (array or Schur2Result) for rotating the (p, q) plane of
-    ``a`` in place. Checks, in order: the plane, a's float64 dtype, U's shape."""
-    n = a.shape[0]
+    ``a``'s columns (and rows, if square) in place. Checks, in order: the
+    plane, a's float64 dtype, U's shape."""
+    n = a.shape[1]
     if not (0 <= p < n and 0 <= q < n) or p == q:
         raise IndexError(f"invalid plane ({p}, {q}) for order {n}")
     if a.dtype != np.float64:

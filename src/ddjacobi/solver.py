@@ -108,7 +108,8 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     rotation appends k (~k when the t1 > t2 swap fired) and its tangent t.
     ``V`` accumulates the rotations in its columns through ``apply_right``:
     :func:`solve` never passes it, but the benchmark's probe rows and the
-    tests' vector oracle do. A and V must be float64 (InputError otherwise).
+    tests' vector oracle do. A and V must be float64, and V must have n
+    columns (InputError otherwise, before anything moves).
     """
     a = A.a if isinstance(A, SymMatrix) else A
     n = a.shape[0]
@@ -116,6 +117,8 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
         raise IndexError(f"eigenvalue rank {m!r} out of range for order {n}")
     if a.dtype != np.float64:
         raise InputError(f"sweep works in place on float64, got {a.dtype}")
+    if V is not None and (V.dtype != np.float64 or V.ndim != 2 or V.shape[1] != n):
+        raise InputError(f"V must be float64 with {n} columns, got {V.dtype} {V.shape}")
     m0 = m - 1
     count = 0
     # Hand-inlined schur2 + apply_two_sided with their arithmetic, so

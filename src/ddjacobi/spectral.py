@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidOptions, IsolatedVertex
-from .matcore import SymMatrix, as_symmatrix
+from .matcore import SymMatrix, _finite, as_symmatrix
 from .solver import SolveOptions, SolveStatus, SweepRecord, solve
 
 __all__ = ["PointCloud", "ClusterResult", "gaussian_similarity",
@@ -94,10 +94,11 @@ def normalized_laplacian(W) -> SymMatrix:
     if dead.size:
         raise IsolatedVertex(int(dead[0]) + 1)
     dh = 1.0 / np.sqrt(deg)
-    lap = -w * np.outer(dh, dh)
+    lap = np.outer(-dh, dh)  # negating a factor of a product is exact
+    lap *= w
     wd = w.diagonal()
     np.fill_diagonal(lap, np.where(wd == 0.0, 1.0, (deg - wd) * dh * dh))
-    return SymMatrix(lap)
+    return SymMatrix._wrap(_finite(lap))
 
 
 def fiedler_partition(L, opts: SolveOptions | None = None) -> ClusterResult:

@@ -32,11 +32,13 @@ NORM_OVERFLOWS = np.array([[1e308, 1e308, 0.0], [1e308, 1.5e308, 1e308],
                            [0.0, 1e308, 1.7e308]])
 
 
-def peak_bytes(run) -> int:
-    """The peak of the memory tracemalloc traces while ``run()`` runs."""
+def peak_matrices(run, n: int) -> float:
+    """The peak of the memory tracemalloc traces while ``run()`` runs, in
+    n x n float64 matrices (8 n^2 bytes): the unit the README's table and
+    CHANGES.md state peaks in."""
     tracemalloc.start()
     try:
         run()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / (8 * n * n)
     finally:
         tracemalloc.stop()

@@ -27,8 +27,8 @@ from ddjacobi import (
     thm2_bound,
 )
 import ddjacobi.io as dio
-from ddjacobi.matcore import scaled, sort_by_diagonal
-from conftest import rand_sym
+from ddjacobi.matcore import off_norm, scaled, sort_by_diagonal
+from conftest import peak_matrices, rand_sym
 
 
 def test_rel_basics():
@@ -236,6 +236,34 @@ def test_foa_factor_matches_direct_computation(rng):
     np.fill_diagonal(block, 0.0)
     want = float(np.linalg.norm(block)) / (math.sqrt(2.0) * gap_hat(a, m))
     assert foa_factor(a, m) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_alpha_and_foa_bits_of_the_copying_build(seed):
+    # alpha was off_norm(scaled(A)), with scaled(A) = A * outer(dh, dh), and
+    # foa_factor took off_norm of the submatrix: each norm on a fresh copy.
+    rng = np.random.default_rng(seed)
+    for n in range(2, 102):
+        a = rand_sym(rng, n)
+        d = rng.choice([-1.0, 1.0], n) * np.logspace(-6, 6, n)
+        np.fill_diagonal(a, d)
+        dh = 1.0 / np.sqrt(np.abs(d))
+        assert alpha(a) == off_norm(a * np.outer(dh, dh))
+        m = n // 2 + 1
+        b = sort_by_diagonal(a)[0].a
+        dh = 1.0 / np.sqrt(np.abs(b.diagonal()))
+        keep = np.arange(n) != m - 1
+        want = off_norm((b * np.outer(dh, dh))[np.ix_(keep, keep)])
+        assert foa_factor(a, m) == want / (math.sqrt(2.0) * gap_hat(a, m))
+
+
+def test_alpha_and_diagnose_peaks():
+    # alpha holds one scaled copy; diagnose also the sorted copy, then the
+    # submatrix of foa_factor.
+    n = 400
+    A = dio.gen_random_dd(n, 0.005, 1)
+    assert peak_matrices(lambda: alpha(A), n) < 1.5
+    assert peak_matrices(lambda: diagnose(A, n // 2), n) < 3.5
 
 
 def test_foa_factor_discriminates():

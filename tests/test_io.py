@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import peak_bytes
+from conftest import peak_matrices
 
 import ddjacobi.io as dio
+from ddjacobi.diagnostics import alpha
 from ddjacobi import (
     AsymmetricInput,
     NotSymmetric,
@@ -528,6 +531,28 @@ class TestHistoryCsv:
                                      a_mm=5.5, alpha=0.1, err_vs_ref=1e-8)
 
 
+def random_dd_reference(n, alpha_target, seed):
+    """gen_random_dd as it was built through np.triu and the strict
+    constructor's copy, kept as the reference for its bits."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+    off = upper + upper.T
+    d = np.arange(1.0, n + 1.0)
+    a = off * (alpha_target / alpha(off + np.diag(d)))
+    np.fill_diagonal(a, d)
+    return SymMatrix(a).a
+
+
+def diag_rank1_reference(n):
+    """gen_diag_rank1 as it was built through a divided copy and the strict
+    constructor's copy, kept as the reference for its bits."""
+    x = np.arange(1, n + 1) / (n + 1)
+    u = np.sin(math.sqrt(2.0) * math.pi * x)
+    a = np.outer(u, u) / n
+    np.fill_diagonal(a, a.diagonal() + 1.0 + x)
+    return SymMatrix(a).a
+
+
 class TestGenerators:
     def test_example_matrix_layout(self):
         A = dio.gen_example1().to_array()
@@ -567,6 +592,23 @@ class TestGenerators:
         got = float(np.linalg.norm(off / np.sqrt(np.outer(d, d))))
         assert got == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_random_dd_bits_of_the_triu_build(self, seed):
+        for n in range(2, 102):
+            for target in (0.005, 0.5):
+                want = random_dd_reference(n, target, seed)
+                assert dio.gen_random_dd(n, target, seed).a.tobytes() == want.tobytes()
+
+    def test_diag_rank_one_bits_of_the_copying_build(self):
+        for n in range(2, 102):
+            assert dio.gen_diag_rank1(n).a.tobytes() == diag_rank1_reference(n).tobytes()
+
+    def test_generators_hold_their_one_matrix(self):
+        # gen_random_dd adds alpha's scaled copy to its own.
+        n = 400
+        assert peak_matrices(lambda: dio.gen_random_dd(n, 0.005, 1), n) < 2.5
+        assert peak_matrices(lambda: dio.gen_diag_rank1(n), n) < 1.5
+
     def test_random_dd_deterministic(self):
         a = dio.gen_random_dd(8, 0.1, seed=3).to_array()
         b = dio.gen_random_dd(8, 0.1, seed=3).to_array()
@@ -589,21 +631,20 @@ class TestMatrixMarketMemory:
 
     def test_writer_holds_under_one_matrix(self, tmp_path):
         A = dio.gen_random_dd(self.N, 0.005, 1)
-        peak = peak_bytes(lambda: dio.write_matrix_market(tmp_path / "a.mtx", A))
-        assert peak < 8 * self.N ** 2
+        peak = peak_matrices(lambda: dio.write_matrix_market(tmp_path / "a.mtx", A), self.N)
+        assert peak < 1.0
 
     def test_reader_holds_under_three_matrices(self, tmp_path):
         A = dio.gen_random_dd(self.N, 0.005, 1)
         dio.write_matrix_market(tmp_path / "a.mtx", A)
-        peak = peak_bytes(lambda: dio.read_matrix_market(tmp_path / "a.mtx"))
-        assert peak < 3 * 8 * self.N ** 2
+        peak = peak_matrices(lambda: dio.read_matrix_market(tmp_path / "a.mtx"), self.N)
+        assert peak < 3.0
 
-    # Array values are placed as they are parsed, and a general file's check
-    # for symmetry forms the asymmetry in one n x n temporary (buffered array
-    # values and two asymmetry temporaries read these at 2.7, 4.0 and 5.0).
+    # Array values are placed as they are parsed, and a general file's matrix
+    # is checked for symmetry and averaged in place, by blocks of rows.
     @pytest.mark.parametrize("fmt,symmetry,matrices", [
-        ("array", "symmetric", 2.5), ("coordinate", "general", 3.75),
-        ("array", "general", 3.75)])
+        ("array", "symmetric", 2.5), ("coordinate", "general", 2.5),
+        ("array", "general", 2.5)])
     def test_reader_peaks_by_format(self, tmp_path, fmt, symmetry, matrices):
         n, a = self.N, dio.gen_random_dd(self.N, 0.005, 1).a
         if fmt == "array":  # column-major values, the lower triangle's if symmetric
@@ -616,4 +657,4 @@ class TestMatrixMarketMemory:
         path = tmp_path / "a.mtx"
         path.write_text("\n".join([f"%%MatrixMarket matrix {fmt} real {symmetry}", *body]))
         assert dio.read_matrix_market(path).a.tobytes() == a.tobytes()
-        assert peak_bytes(lambda: dio.read_matrix_market(path)) < matrices * 8 * n ** 2
+        assert peak_matrices(lambda: dio.read_matrix_market(path), n) < matrices

@@ -16,7 +16,7 @@ from ddjacobi import (
     sort_by_diagonal,
 )
 from ddjacobi.matcore import _peak_positive
-from conftest import rand_sym
+from conftest import peak_matrices, rand_sym
 
 
 class TestSymMatrix:
@@ -158,6 +158,78 @@ def test_symmetrized_rejects_asymmetry_past_the_float_range():
         SymMatrix.symmetrized(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
 
+def one_pass_symmetrized(entries):
+    """SymMatrix.symmetrized as it was, over the whole array at once with an
+    n x n temporary per step: the reference for its results and messages."""
+    a = np.array(entries, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        diff = np.abs(np.subtract(a, a.T))
+    if not diff.any():
+        return a
+    d = np.sqrt(np.abs(a.diagonal()))
+    scale = np.outer(d, d)
+    scale[scale == 0.0] = np.inf
+    limit = 4.0 * EPS * np.minimum(scale, float(np.abs(a).max()))
+    bad = diff > limit
+    if bad.any():
+        i, j = np.unravel_index(bad.argmax(), bad.shape)
+        raise AsymmetricInput(f"asymmetry {diff[i, j]:.3e} at ({i}, {j}) exceeds "
+                              f"its allowance {limit[i, j]:.3e}")
+    return 0.5 * a + 0.5 * a.T
+
+
+def _blocked_cases():
+    """(name, a): nearly symmetric, graded, zero-diagonal and ~1.7e308
+    inputs, at orders of one block of rows and of several (n = 300 makes
+    blocks of 27 rows), diagonally dominant so that off-diagonal noise of k
+    ulps in each triangle passes for small k."""
+    rng = np.random.default_rng(21)
+    for n in (2, 9, 300):
+        base = rand_sym(rng, n)
+        np.fill_diagonal(base, np.abs(base.diagonal()) + n)
+        graded = np.logspace(-100, 100, n)[:, None] * base * np.logspace(-100, 100, n)
+        zero = base.copy()
+        zero[[0, n - 1], [0, n - 1]] = 0.0
+        huge = base / np.abs(base).max() * 1.7e308
+        for name, a in [("near", base), ("graded", graded), ("zero-diagonal", zero),
+                        ("huge", huge)]:
+            for k in (0, 1, 3, 10_000):
+                noise = k * rng.integers(-1, 2, a.shape) * np.spacing(a)
+                np.fill_diagonal(noise, 0.0)
+                yield f"{name}-{n}-{k}ulp", a + noise
+    late = rand_sym(rng, 300)
+    late[298, 299] += 1e-6  # one offender, in the last block of rows
+    yield "late-offender", late
+    yield "opposite-huge", np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])
+    tiny = rand_sym(rng, 40) * 1e-310  # halving a subnormal rounds
+    yield "subnormal-exact", tiny
+    tiny = tiny.copy()
+    tiny[0, 39] = np.nextafter(tiny[0, 39], 1.0)
+    yield "subnormal-near", tiny
+
+
+@pytest.mark.parametrize("a", [c[1] for c in _blocked_cases()],
+                         ids=[c[0] for c in _blocked_cases()])
+def test_symmetrized_by_blocks_matches_one_pass(a):
+    try:
+        want = one_pass_symmetrized(a)
+    except AsymmetricInput as exc:
+        with pytest.raises(AsymmetricInput) as got:
+            SymMatrix.symmetrized(a)
+        assert str(got.value) == str(exc)
+    else:
+        assert SymMatrix.symmetrized(a).a.tobytes() == want.tobytes()
+
+
+def test_symmetrized_holds_its_one_copy():
+    n = 400
+    a = rand_sym(np.random.default_rng(22), n)
+    np.fill_diagonal(a, n)
+    near = a + np.triu(np.spacing(a), 1)
+    for entries in (a, near):
+        assert peak_matrices(lambda: SymMatrix.symmetrized(entries), n) < 1.5
+
+
 def brute_off(a):
     s = 0.0
     for i in range(a.shape[0]):
@@ -272,6 +344,18 @@ class TestScaled:
         np.fill_diagonal(a, rng.uniform(0.5, 2.0, 20))
         H = scaled(a)
         assert np.array_equal(H.a, H.a.T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_of_the_product_with_the_outer_product(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 102):
+            a = rand_sym(rng, n)
+            d = rng.choice([-1.0, 1.0], n) * np.logspace(-6, 6, n)
+            np.fill_diagonal(a, d)
+            dh = 1.0 / np.sqrt(np.abs(d))
+            want = a * np.outer(dh, dh)
+            np.fill_diagonal(want, np.sign(d))
+            assert scaled(a).a.tobytes() == want.tobytes()
 
     def test_zero_diagonal_raises_with_position(self):
         a = np.eye(4)

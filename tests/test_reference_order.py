@@ -4,7 +4,6 @@ within 1e-12 * ||A||_F, orthonormal vectors, the same vector wherever the
 relative gap is at least 1e-3, and no floating-point warning on the way."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +14,7 @@ from ddjacobi import full_jacobi, min_relative_gap
 from ddjacobi.matcore import EPS, _peak_positive, as_symmatrix, frob_norm, off_norm
 from ddjacobi.reference import _exact_values, _round_robin
 from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided
-from conftest import rand_sym
+from conftest import peak_matrices, rand_sym
 
 
 def cyclic_by_rows(A, threshold=0.0, max_sweeps=60):
@@ -127,13 +126,7 @@ def test_full_jacobi_memory_stays_below_eight_matrices(as_array):
     A = dio.gen_random_dd(n, 0.3, seed=5)
     A = A.a.copy() if as_array else A
     full_jacobi(A)
-    tracemalloc.start()
-    try:
-        full_jacobi(A)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n * 8
+    assert peak_matrices(lambda: full_jacobi(A), n) < 8
 
 
 VALUES_ONLY = CASES + [
@@ -161,13 +154,8 @@ def test_values_only_path_keeps_no_basis():
     peaks = []
     for vectors in (True, False):
         full_jacobi(A, _vectors=vectors)
-        tracemalloc.start()
-        try:
-            full_jacobi(A, _vectors=vectors)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] - 8 * n * n
+        peaks.append(peak_matrices(lambda: full_jacobi(A, _vectors=vectors), n))
+    assert peaks[1] <= peaks[0] - 1
 
 
 def test_values_only_peak_holds_no_zero_diagonal_copy():
@@ -177,10 +165,4 @@ def test_values_only_peak_holds_no_zero_diagonal_copy():
     n = 128
     A = dio.gen_random_dd(n, 0.3, seed=5)
     full_jacobi(A, _vectors=False)
-    tracemalloc.start()
-    try:
-        full_jacobi(A, _vectors=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.75 * 8 * n * n
+    assert peak_matrices(lambda: full_jacobi(A, _vectors=False), n) < 2.75

@@ -179,6 +179,16 @@ class TestApplyTwoSided:
         assert np.array_equal(V, np.eye(3))
 
 
+def test_apply_right_checks_the_plane_against_columns():
+    # V(:, [p, q]) rotates columns: (5, 3) reached numpy's own IndexError on
+    # plane (0, 4), and (2, 5) was refused.
+    with pytest.raises(IndexError, match="invalid plane"):
+        apply_right(np.zeros((5, 3)), 0, 4, np.eye(2))
+    V = np.arange(10.0).reshape(2, 5)
+    apply_right(V, 0, 4, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert V.tolist() == [[4.0, 1.0, 2.0, 3.0, 0.0], [9.0, 6.0, 7.0, 8.0, 5.0]]
+
+
 def test_apply_right_accumulates(rng):
     a = rand_sym(rng, 6)
     orig = a.copy()

@@ -101,6 +101,20 @@ class TestNormalizedLaplacian:
         with pytest.raises(ValueError):
             normalized_laplacian(W)
 
+    @pytest.mark.parametrize("self_weight", [0.0, 0.5])
+    def test_bits_of_the_copying_build(self, rng, self_weight):
+        # L was -w * outer(dh, dh) with its diagonal set, then the strict
+        # constructor's copy.
+        for n in range(2, 102, 9):
+            w = gaussian_similarity(PointCloud(rng.standard_normal((n, 2))), 0.7).to_array()
+            np.fill_diagonal(w, self_weight)
+            deg = w.sum(axis=1)
+            dh = 1.0 / np.sqrt(deg)
+            want = -w * np.outer(dh, dh)
+            wd = w.diagonal()
+            np.fill_diagonal(want, np.where(wd == 0.0, 1.0, (deg - wd) * dh * dh))
+            assert normalized_laplacian(w).a.tobytes() == want.tobytes()
+
 
 class TestFiedlerPartition:
     def test_separated_blobs_split_cleanly(self, rng):
