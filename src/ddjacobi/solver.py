@@ -126,12 +126,16 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     # check); V goes through apply_right, ahead of A's writes. Rows k and m
     # rotate together in r, where row m stays for the whole sweep; the stale
     # row and column m of the matrix reach only the 2x2 slots, which are
-    # overwritten. A rotation is two ufunc calls (x[j, i] = w[j, i] r[j],
-    # then r = x[0] + x[1]: the same products and add), a row load, a row
-    # write and one strided column write, with scalar math on Python floats.
-    r, x, w = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, 2, 1))
+    # overwritten. A rotation forms u = c r and v = s r, products by 0-d
+    # arrays in numpy's contiguous scalar loop (a broadcast weight array runs
+    # a stride-0 loop at a half to a third of its speed), then each new row in
+    # one add or subtract: the products and add of w11 r_p + w21 r_q, as
+    # a - b = a + (-b) and fl(-s x) = -fl(s x). Then a row load, a row write
+    # and one strided column write, with scalar math on Python floats.
+    r, u, v = np.empty((3, 2, n))
+    cc, ss = np.empty(()), np.empty(())
     rk, rm = r
-    x0, x1, wf, r3 = x[0], x[1], w.reshape(4), r[:, None]
+    (u0, u1), (v0, v1) = u, v
     rm[:] = a[m0]
     amm = a.item(m0, m0)
     plan = list(range(0, m0)) + list(range(n - 1, m0, -1))
@@ -153,13 +157,16 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
         if _log is not None:
             _log[0].append(k if t1 <= t2 else ~k)
             _log[1].append(t)
-        # w[j, i] weighs row j of r (r[0] is row k) in new row i: the
-        # matrix (w11, w12; w21, w22) when k = p, reversed in both axes when
-        # k = q.
-        wf[:] = (w11, w12, w21, w22) if k < m0 else (w22, w21, w12, w11)
         rk[:] = a[k]
-        np.multiply(w, r3, out=x)
-        np.add(x0, x1, out=r)
+        cc[()], ss[()] = c, s
+        np.multiply(r, cc, out=u)
+        np.multiply(r, ss, out=v)
+        # New row k is c r_k - s r_m and row m is c r_m + s r_k when k = p,
+        # the signs reversed when k = q; the t1 > t2 swap exchanges the rows.
+        lo, hi = (rk, rm) if t1 <= t2 else (rm, rk)
+        fk, fm = (np.subtract, np.add) if k < m0 else (np.add, np.subtract)
+        fk(u0, v1, out=lo)
+        fm(u1, v0, out=hi)
         c1, c2 = app * w11 + apq * w21, apq * w11 + aqq * w21
         d1, d2 = app * w12 + apq * w22, apq * w12 + aqq * w22
         app, aqq = w11 * c1 + w21 * c2, w12 * d1 + w22 * d2
@@ -181,14 +188,15 @@ def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
     # The working matrix with its diagonal zeroed in place serves the total
     # off-norm (note passes the row's); scaling it into the n x n buffer h
     # leaves the diagonal of H at zero and every off-diagonal entry as
-    # scaled(a) has it. The diagonal is written back at the end.
+    # scaled(a) has it (both form dh dh^T through einsum). The diagonal is
+    # written back at the end.
     d = a.diagonal().copy()
     np.fill_diagonal(a, 0.0)
     off_total = frob_norm(a)
     alpha = row_h = None
     if np.all(d != 0.0):
         dh = 1.0 / np.sqrt(np.abs(d))
-        np.multiply(a, np.outer(dh, dh, out=h), out=h)
+        np.multiply(a, np.einsum("i,j->ij", dh, dh, out=h), out=h)
         alpha, row_h = frob_norm(h), frob_norm(h[m0])
     np.fill_diagonal(a, d)
     return SweepRecord(

@@ -94,8 +94,11 @@ def normalized_laplacian(W) -> SymMatrix:
     if dead.size:
         raise IsolatedVertex(int(dead[0]) + 1)
     dh = 1.0 / np.sqrt(deg)
-    lap = np.outer(-dh, dh)  # negating a factor of a product is exact
-    lap *= w
+    # dh_i dh_j overflows where two degrees are near the subnormal range:
+    # -inf, or NaN beside a zero weight, which _finite then refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = np.outer(-dh, dh)  # negating a factor of a product is exact
+        lap *= w
     wd = w.diagonal()
     np.fill_diagonal(lap, np.where(wd == 0.0, 1.0, (deg - wd) * dh * dh))
     return SymMatrix._wrap(_finite(lap))

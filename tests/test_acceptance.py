@@ -241,7 +241,9 @@ def test_c08_diag_plus_rank_one(capsys):
     _report(capsys, "c08 drk1(1023): gap/alpha windows, residuals <= 1e-8*frob, "
             "512->1024 sweep-time ratio in [3, 6]", ok,
             f"gamma_n={g_n:.3e} gamma_1={g_1:.3e} alpha0={a0:.3f} "
-            f"worst resid/budget={worst_resid:.3f} ratio={ratio:.2f} in {el:.1f}s")
+            f"worst resid/budget={worst_resid:.3f} "
+            f"ratio={ratio:.2f} = {best[1024] * 1e3:.2f} / {best[512] * 1e3:.2f} ms "
+            f"in {el:.1f}s")
 
 
 def test_c06_offnorm_telescoping(capsys):

@@ -21,6 +21,7 @@ from ddjacobi import (
     scaled,
     solve,
     solve_many,
+    sort_by_diagonal,
     sweep,
 )
 import ddjacobi.io as dio
@@ -92,12 +93,14 @@ def sweep_cases():
     for m in (1, 4, 8):    # theta = 0, and ties resolved by the t1 > t2 swap
         yield tied_diagonal(8, 1e-20), m, 0.0
         yield tied_diagonal(8, 0.3), m, 0.0
+    # Long rows: numpy's loops take length-dependent SIMD paths.
+    yield sort_by_diagonal(dio.gen_diag_rank1(383))[0].a, 192, 0.0
 
 
 def test_solver_sweep_path_bit_identical_to_rotation_primitives():
     # solve runs sweep without V and with _log: its matrix, count and log
     # must match the primitives over several sweeps.
-    logged = array("i")
+    branches = set()
     for a, m, tol in sweep_cases():
         b = a.copy()
         la, lb = (array("i"), array("d")), (array("i"), array("d"))
@@ -105,8 +108,9 @@ def test_solver_sweep_path_bit_identical_to_rotation_primitives():
             assert sweep(a, m, tol, _log=la) == replay_sweep(b, m, tol, log=lb)
             assert a.tobytes() == b.tobytes()    # signed zeros too
         assert la[0] == lb[0] and la[1].tobytes() == lb[1].tobytes()
-        logged.extend(la[0])
-    assert min(logged) < 0 <= max(logged)    # swapped and unswapped rotations
+        branches.update((max(k, ~k) < m - 1, k < 0) for k in la[0])
+    # sweep's four row updates: k before or after m, unswapped or swapped
+    assert branches == {(True, False), (True, True), (False, False), (False, True)}
 
 
 def test_sweep_gates_everything_under_a_huge_tol(rng):
@@ -386,6 +390,9 @@ def test_history_scaled_fields_none_on_zero_diagonal():
     # inf, with an overflow warning, at 1e200.
     *(pytest.param(lambda s=scale: SymMatrix(s * dio.gen_random_dd(12, 0.3, seed=4).a), 5,
                    id=f"random_dd-5-{scale:g}") for scale in (1e-170, 1e200)),
+    # D H D with a diagonal from 1e-150 to 1e150: dh_i dh_j spans 1e-150 to
+    # 1e150 where the history's scaling and scaled() must agree.
+    pytest.param(lambda: graded(dio.gen_random_dd(40, 0.3, seed=4), 75), 17, id="graded-1e150"),
 ])
 def test_sweep_record_fields_are_the_public_quantities(make, m):
     A0 = make()
@@ -501,6 +508,12 @@ SOLVE_MANY_CASES = {
     "underflow": (lambda: 1e-300 * dio.gen_random_dd(10, 0.3, 5).a,
                   SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
 }
+
+
+def graded(H, e):
+    """D H D with D = diag(10^-e .. 10^e), exactly symmetric (d_i d_j == d_j d_i)."""
+    d = np.logspace(-e, e, H.n)
+    return SymMatrix(H.a * np.outer(d, d))
 
 
 def tied_diagonal(n, scale):

@@ -101,6 +101,19 @@ class TestNormalizedLaplacian:
         with pytest.raises(ValueError):
             normalized_laplacian(W)
 
+    def test_overflowing_entries_refused_without_a_warning(self):
+        # Subnormal degrees: 1/sqrt(deg) squared overflows, to -inf beside a
+        # weight and to -inf * 0 = NaN beside a zero one (vertices 0 and 1 of
+        # the second graph). The suite turns a RuntimeWarning into an error.
+        tiny = 5e-324
+        W2 = np.array([[0.0, tiny], [tiny, 0.0]])
+        W4 = np.zeros((4, 4))
+        W4[0, 2] = W4[2, 0] = W4[1, 3] = W4[3, 1] = tiny
+        W4[2, 3] = W4[3, 2] = 1.0
+        for W in (W2, W4):
+            with pytest.raises(ValueError, match="finite"):
+                normalized_laplacian(W)
+
     @pytest.mark.parametrize("self_weight", [0.0, 0.5])
     def test_bits_of_the_copying_build(self, rng, self_weight):
         # L was -w * outer(dh, dh) with its diagonal set, then the strict
