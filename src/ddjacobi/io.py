@@ -17,7 +17,7 @@ import math
 import operator
 import warnings
 from dataclasses import astuple, dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -321,54 +321,55 @@ def write_matrix_market(path, A) -> None:
 def read_matrix(path) -> SymMatrix:
     """Dispatch on extension: .csv reads a dense square grid, else Matrix Market."""
     if str(path).lower().endswith(".csv"):
-        a = _read_grid(_read_csv_rows(path))
+        a = _read_grid(_records(path))
         if a.shape[0] != a.shape[1]:
             raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
         return _numerically_symmetric(a, "matrix CSV")
     return read_matrix_market(path)
 
 
-def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    """Non-blank records, each numbered by its first physical line (a quoted
-    cell may span lines)."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _records(path):
+    """Yield each non-blank CSV record as it is read: its first physical line
+    (a quoted cell may span lines) and its stripped cells."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         no = 1
-        for cells in reader:
-            cells = [c.strip() for c in cells]
-            if any(cells):
-                out.append((no, cells))
-            no = reader.line_num + 1
-    return out
+        try:
+            for cells in reader:
+                cells = [c.strip() for c in cells]
+                if any(cells):
+                    yield no, cells
+                no = reader.line_num + 1
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise ParseError(no, str(exc)) from None
 
 
-def _read_grid(rows: list[tuple[int, list[str]]]) -> np.ndarray:
-    """Parse numbered CSV rows into a float array. Every row holds as many
-    cells as the first; the rows before the first that does not are read by
-    :func:`_floats`, so an error names the first offending row."""
+def _read_grid(records) -> np.ndarray:
+    """Parse numbered CSV records into a float array, one record at a time:
+    each must hold as many cells as the first, and is then read by
+    :func:`_floats`, so an error names the first offending record."""
+    rows = []
+    for no, cells in records:
+        width = len(rows[0]) if rows else len(cells)
+        if len(cells) != width:
+            raise ParseError(no, f"expected {width} columns, got {len(cells)}")
+        rows.append(_floats(cells, repeat(no)))
     if not rows:
         raise ParseError(1, "no data rows")
-    nos, cells = zip(*rows)
-    width = len(cells[0])
-    k = next((k for k, c in enumerate(cells) if len(c) != width), len(cells))
-    grid = _floats(list(chain.from_iterable(cells[:k])),
-                   (no for no in nos[:k] for _ in range(width)))
-    if k < len(cells):
-        raise ParseError(nos[k], f"expected {width} columns, got {len(cells[k])}")
-    return grid.reshape(k, width)
+    return np.array(rows)
 
 
 def read_points_csv(path) -> PointCloud:
     """n x d numeric CSV, optional single header row (auto-detected)."""
-    rows = _read_csv_rows(path)
+    records = _records(path)
+    first = list(islice(records, 1))
     try:
-        list(map(float, rows[0][1] if rows else []))
+        list(map(float, first[0][1] if first else []))
     except ValueError:  # a non-numeric first row is the header
-        rows = rows[1:]
-        if not rows:
+        first = list(islice(records, 1))
+        if not first:
             raise ParseError(1, "no data rows after the header") from None
-    return PointCloud(_read_grid(rows))
+    return PointCloud(_read_grid(chain(first, records)))
 
 
 def _cell(x) -> str:

@@ -89,7 +89,11 @@ def normalized_laplacian(W) -> SymMatrix:
     w = M.a
     if np.any(w < 0.0):
         raise ValueError("similarity weights must be nonnegative")
-    deg = w.sum(axis=1)
+    with np.errstate(over="ignore"):
+        deg = w.sum(axis=1)
+    if np.isinf(deg).any():  # L is unchanged by scaling W; 2**-k scales exactly
+        w = w * 2.0 ** -len(w).bit_length()
+        deg = w.sum(axis=1)
     dead = np.flatnonzero(deg == 0.0)
     if dead.size:
         raise IsolatedVertex(int(dead[0]) + 1)

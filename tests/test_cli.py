@@ -223,6 +223,15 @@ class TestDataErrors:
         assert main(["eig", "--input", str(p), "--m", "1"]) == 65
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args", [["eig", "--m", "1", "--input"], ["cluster", "--points"]],
+                             ids=["eig", "cluster"])
+    def test_csv_cell_over_the_field_limit(self, tmp_path, capsys, args):
+        p = tmp_path / "big.csv"
+        p.write_text("1.0,0.0\n" + "0" * 200_000 + ",1.0\n")
+        assert main([*args, str(p)]) == 65
+        assert capsys.readouterr().err.startswith(
+            "ParseError: line 2: field larger than field limit")
+
     def test_negative_weights(self, tmp_path, capsys):
         p = tmp_path / "w.csv"
         p.write_text("0.0,-1.0\n-1.0,0.0\n")

@@ -429,6 +429,19 @@ class TestReadMatrixCsv:
         b = as_symmatrix(a).a
         assert b[1, 2] == b[2, 1] == 0.5 * (a[1, 2] + a[2, 1])
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = put(tmp_path, "m.csv", "\ufeff2.0,0.5\n0.5,1.0\n")
+        assert np.array_equal(dio.read_matrix(p).a, [[2.0, 0.5], [0.5, 1.0]])
+
+    def test_reader_holds_under_two_and_a_half_matrices(self, tmp_path):
+        # Each record is converted before the next is read, so the cells'
+        # strings never outnumber one row.
+        n = 400
+        a = dio.gen_random_dd(n, 0.005, 1).a
+        p = put(tmp_path, "m.csv", "\n".join(",".join(map(repr, r)) for r in a.tolist()))
+        assert dio.read_matrix(p).a.tobytes() == a.tobytes()
+        assert peak_matrices(lambda: dio.read_matrix(p), n) < 2.5
+
     def test_non_csv_extension_goes_to_matrix_market(self, tmp_path):
         p = put(tmp_path, "m.txt",
                 "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 5.0\n")
@@ -479,6 +492,10 @@ class TestReadPointsCsv:
         p = put(tmp_path, "pts.csv", '1.0,"0.5\n"\n0.5,x\n')
         with pytest.raises(ParseError, match=r"^line 3: bad number 'x'$"):
             dio.read_points_csv(p)
+
+    def test_byte_order_mark_does_not_make_a_header(self, tmp_path):
+        p = put(tmp_path, "pts.csv", "\ufeff1,2\n3,4\n5,6\n")
+        assert np.array_equal(dio.read_points_csv(p).points, [[1, 2], [3, 4], [5, 6]])
 
 
 class TestHistoryCsv:

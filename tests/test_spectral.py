@@ -114,6 +114,14 @@ class TestNormalizedLaplacian:
             with pytest.raises(ValueError, match="finite"):
                 normalized_laplacian(W)
 
+    def test_overflowing_degrees_scaled_away_without_a_warning(self):
+        # Each degree, 2e308, overflows; L is that of W / 4, to rounding.
+        W = np.full((3, 3), 1e308)
+        np.fill_diagonal(W, 0.0)
+        want = np.full((3, 3), -0.5)
+        np.fill_diagonal(want, 1.0)
+        np.testing.assert_allclose(normalized_laplacian(W).a, want, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("self_weight", [0.0, 0.5])
     def test_bits_of_the_copying_build(self, rng, self_weight):
         # L was -w * outer(dh, dh) with its diagonal set, then the strict
