@@ -142,7 +142,8 @@ def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
             return False
     n = a.shape[0]
     key = (i - 1) * n + (j - 1)
-    ordered = np.sort(key)  # a repeated key sits next to its twin
+    # Sorted, a repeated key sits next to its twin; the writer's keys ascend.
+    ordered = key if (key[1:] > key[:-1]).all() else np.sort(key)
     vals = vals[0] if vals else np.ones(len(block))
     if (len(i) != len(block) or ((i < 1) | (i > n) | (j < 1) | (j > n)).any()
             or symmetric and (j > i).any() or (ordered[1:] == ordered[:-1]).any()
@@ -155,14 +156,13 @@ def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
     return True
 
 
-def _lines(fh):
-    """The lines of ``fh`` as ``str.splitlines`` splits its whole text, a
-    list per chunk of ``32 * _BLOCK`` characters (about ``_BLOCK`` lines of
-    the writer's) completed by ``readline``. The file is read with universal
-    newlines, so each chunk ends at a ``\\n`` or at the end of the file, and
-    no line spans two chunks."""
+def _chunks(fh):
+    """The text of ``fh`` in chunks of ``32 * _BLOCK`` characters (about
+    ``_BLOCK`` lines of the writer's) completed by ``readline``. The file is
+    read with universal newlines, so each chunk ends at a ``\\n`` or at the end
+    of the file, and the chunks' ``str.splitlines`` split the whole text's."""
     while chunk := fh.read(32 * _BLOCK):
-        yield (chunk + fh.readline()).splitlines()
+        yield chunk + fh.readline()
 
 
 def read_matrix_market(path) -> SymMatrix:
@@ -182,10 +182,11 @@ def read_matrix_market(path) -> SymMatrix:
     to allocate, then the first offending line's error.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        chunks = _lines(fh)
-        lines = next(chunks, None)
-        if lines is None:
+        chunks = _chunks(fh)
+        text = next(chunks, "")
+        if not text:
             raise ParseError(1, "empty file")
+        lines = text.splitlines()
 
         header = lines[0].split()
         if (len(header) != 5 or header[0].lower() != "%%matrixmarket"
@@ -204,13 +205,18 @@ def read_matrix_market(path) -> SymMatrix:
         symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
         size_no = a = error = None
         found = read = 0
-        while lines is not None:
-            # Body lines and their 1-based numbers: blank and % lines (the
-            # banner among them) are dropped by their first non-blank character.
-            keep = list(map(operator.not_, map(_SKIPPED, map(
-                operator.itemgetter(slice(1)), map(str.lstrip, lines)))))
-            body = list(compress(lines, keep))
-            nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + read + 1
+        while text:
+            # Body lines and their 1-based numbers. An ASCII chunk whose least
+            # line sorts after "%" (so after every ASCII blank) is all body;
+            # elsewhere blank and % lines (the banner among them) are dropped
+            # by their first non-blank character.
+            if text.isascii() and min(lines) >= "&":
+                body, nos = lines, range(read + 1, read + 1 + len(lines))
+            else:
+                keep = list(map(operator.not_, map(_SKIPPED, map(
+                    operator.itemgetter(slice(1)), map(str.lstrip, lines)))))
+                body = list(compress(lines, keep))
+                nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + read + 1
             read += len(lines)
             if size_no is None and body:
                 size_no = int(nos[0])
@@ -247,7 +253,8 @@ def read_matrix_market(path) -> SymMatrix:
                             _place_line(a, seen, line, no, width, symmetric)
                 except ParseError as exc:
                     error = exc
-            lines = next(chunks, None)
+            text = next(chunks, "")
+            lines = text.splitlines()
 
     if size_no is None:
         raise ParseError(read, "missing size line")
@@ -296,26 +303,22 @@ def _lower_block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_matrix_market(path, A) -> None:
-    """Write the lower triangle as coordinate/real/symmetric, losslessly,
-    ``_BLOCK`` entries at a time. Only the floats are formatted; the indices
-    come from a table of n strings."""
+    """Write the lower triangle as coordinate/real/symmetric, losslessly, a
+    row at a time: one ``%`` formats the row's nonzero values into their lines
+    ``"\\0 j %r\\n"``, with the row's index put for ``\\0``."""
     a = as_symmatrix(A).a
     n = a.shape[0]
     # The triangles are the same, so each holds half the off-diagonal nonzeros.
     nnz = (np.count_nonzero(a) + np.count_nonzero(a.diagonal())) // 2
-    index = list(map("{} ".format, range(1, n + 1)))
-    size = n * (n + 1) // 2
+    lines, template = [f"\0 {j} %r\n" for j in range(1, n + 1)], ""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {nnz}\n")
-        for s in range(0, size, _BLOCK):
-            rows, cols = _lower_block(s, min(s + _BLOCK, size))
-            vals = a[rows, cols]
-            keep = vals != 0.0
-            pairs = map(operator.add, map(index.__getitem__, rows[keep].tolist()),
-                        map(index.__getitem__, cols[keep].tolist()))
-            text = "\n".join(map(operator.add, pairs, map(repr, vals[keep].tolist())))
-            if text:
-                fh.write(text + "\n")
+        for i in range(n):
+            template += lines[i]
+            text, vals = template, a[i, :i + 1].tolist()  # floats whose %r is repr
+            if not all(vals):  # zeros, -0.0 among them, are left out
+                text, vals = "".join(compress(lines, vals)), list(filter(None, vals))
+            fh.write(text.replace("\0", str(i + 1)) % tuple(vals))
 
 
 def read_matrix(path) -> SymMatrix:
@@ -399,8 +402,8 @@ def write_history_csv(path, rows) -> None:
 
 
 def read_history_csv(path) -> list[HistoryRow]:
-    """Inverse of :func:`write_history_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Inverse of :func:`write_history_csv`; a byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != HISTORY_HEADER:
         raise ParseError(1, f"expected header {HISTORY_HEADER!r}")

@@ -298,6 +298,47 @@ class TestMatrixMarketErrors:
         with pytest.raises(NotSymmetric):
             dio.read_matrix_market(p)
 
+    @staticmethod
+    def past_the_first_chunk(tmp_path, bad=None):
+        """random-dd(400) as the writer writes it, with a comment, an empty, a
+        whitespace-only and an indented line put in past the reader's first
+        chunk (32 * 4096 characters, completed to its line), 6000 lines apart
+        so that no two share a chunk; ``bad`` changes the entry after the
+        indented one. Returns the matrix, the file and that entry's line."""
+        A = dio.gen_random_dd(400, 0.005, 1)
+        dio.write_matrix_market(tmp_path / "a.mtx", A)
+        text = (tmp_path / "a.mtx").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        first = text[:32 * 4096].count("\n") + 1  # the first chunk's lines
+        for at, filler in zip(range(first, first + 24000, 6000),
+                              ["% a comment", "", " \t ", None]):
+            assert len("\n".join(lines[at - 6000:at])) > 33 * 4096 or at == first
+            if filler is None:
+                lines[at] = "   " + lines[at]
+            else:
+                lines.insert(at, filler)
+        if bad is not None:
+            lines[at + 1] = bad(lines[at + 1])
+        (tmp_path / "b.mtx").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return A, tmp_path / "b.mtx", at + 2
+
+    def test_filler_lines_past_the_first_chunk(self, tmp_path):
+        A, p, _ = self.past_the_first_chunk(tmp_path)
+        assert dio.read_matrix_market(p).a.tobytes() == A.a.tobytes()
+
+    @pytest.mark.parametrize("bad,msg", [
+        (lambda line: line.rsplit(" ", 1)[0] + " oops", "bad number 'oops'"),
+        (lambda line: "401 1 1.0", "index (401, 1) out of range"),
+    ], ids=["value", "index"])
+    def test_bad_entry_past_the_first_chunk_names_its_line(self, tmp_path, bad, msg):
+        _, p, no = self.past_the_first_chunk(tmp_path, bad)
+        line = p.read_text(encoding="utf-8").splitlines()[no - 1]
+        assert line == "401 1 1.0" or line.endswith(" oops")
+        with pytest.raises(ParseError) as exc:
+            dio.read_matrix_market(p)
+        assert exc.value.line == no
+        assert str(exc.value) == f"line {no}: {msg}"
+
 
 class TestWriteMatrixMarket:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -342,6 +383,26 @@ class TestWriteMatrixMarket:
         p = tmp_path / "one.mtx"
         dio.write_matrix_market(p, np.array([[0.0]]))
         assert np.array_equal(dio.read_matrix_market(p).to_array(), [[0.0]])
+
+    def test_bytes_are_the_nonzero_lower_entries_by_rows(self, tmp_path):
+        # Row 2 holds only its diagonal, row 3 nothing, rows 4 and 5 signed
+        # zeros and the extremes; random-dd(40)'s rows are full.
+        a = np.zeros((45, 45))
+        a[:5, :5] = [[1.5, 0.0, 0.0, -0.0, 0.25],
+                     [0.0, 3.0, 0.0, 5e-324, -0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0],
+                     [-0.0, 5e-324, 0.0, 1e308, -1e308],
+                     [0.25, -0.0, 0.0, -1e308, -5e-324]]
+        a[5:, 5:] = dio.gen_random_dd(40, 0.3, 4).a
+        a[9, 6] = a[6, 9] = -0.0
+        rows = a.tolist()
+        body = [f"{i + 1} {j + 1} {rows[i][j]!r}\n" for i in range(45)
+                for j in range(i + 1) if rows[i][j] != 0.0]
+        dio.write_matrix_market(tmp_path / "w.mtx", a)
+        assert (tmp_path / "w.mtx").read_bytes() == (
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            f"45 45 {len(body)}\n" + "".join(body)).encode("ascii")
+        assert body[:3] == ["1 1 1.5\n", "2 2 3.0\n", "4 2 5e-324\n"]
 
 
 class TestReadMatrixCsv:
@@ -522,6 +583,12 @@ class TestHistoryCsv:
         p = tmp_path / "h.csv"
         dio.write_history_csv(p, [])
         assert p.read_text().splitlines()[0] == dio.HISTORY_HEADER
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "h.csv"
+        dio.write_history_csv(p, self.rows())
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert dio.read_history_csv(p) == self.rows()
 
     def test_wrong_header_rejected(self, tmp_path):
         p = put(tmp_path, "h.csv", "sweep,resid\n0,1.0\n")
