@@ -221,7 +221,8 @@ def _build_parser() -> _Parser:
 
     trk = sub.add_parser("track", help="homotopy eigenpath tracking")
     trk.add_argument("--input", required=True)
-    trk.add_argument("--c", type=float, default=TrackerConfig.c)
+    trk.add_argument("--c", type=float, default=TrackerConfig.c,
+                     help="step constant: s * ||Omega||_F <= c * gap * ||A||_F")
     trk.add_argument("--path", help="write per-step CSV here")
     trk.set_defaults(fn=cmd_track)
 

@@ -6,7 +6,9 @@ into the current eigenbasis, B = Sigma(t_k) + s_k Q^T Omega(A) Q, solves all
 n eigenpairs of B as one batch of independent targeted iterations
 (:func:`ddjacobi.solver.solve_many`), and composes the resulting eigenvector
 matrix into Q. Step lengths are chosen adaptively from the current spectrum's
-minimum relative gap.
+minimum relative gap, measured against Omega relative to A: the step keeps
+s * ||Omega||_F <= c * gamma_hat * ||A||_F, so the rule is free of A's scale
+and a strongly dominant matrix arrives in one or two steps.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ _MAX_HALVINGS = 10
 
 @dataclass
 class TrackerConfig:
-    """c scales the step rule s = min(1 - t, c * gap / ||Omega||_F)."""
+    """c bounds each step: s * ||Omega||_F <= c * gap * ||A||_F.
+
+    ``track`` takes s = min(1 - t, c * gap / (||Omega||_F / ||A||_F)), so
+    scaling A leaves the path unchanged.
+    """
 
     c: float = 1.0
     max_steps: int = 10000
@@ -66,10 +72,12 @@ class HomotopyPath:
 def step_length(gamma_hat: float, omega_frob: float, c: float, t: float) -> float:
     """Adaptive step: s = min(1 - t, c * gamma_hat / omega_frob).
 
-    Keeps the perturbation s * ||Omega||_F at most c times the current gap
-    ("of order unity" for c = 1). A diagonal matrix (omega_frob == 0) steps
-    straight to 1. Raises CollapsedGap when the gap is NaN or at most the
-    floor, and ValueError when omega_frob is NaN, infinite or negative.
+    ``track`` passes the relative norm ||Omega||_F / ||A||_F as omega_frob,
+    so the perturbation s * ||Omega||_F stays at most c times the current
+    relative gap times ||A||_F ("of order unity" for c = 1). A diagonal
+    matrix (omega_frob == 0) steps straight to 1. Raises CollapsedGap when
+    the gap is NaN or at most the floor, and ValueError when omega_frob is
+    NaN, infinite or negative.
     """
     if not c > 0.0:
         raise InvalidOptions("step constant c must be positive")
@@ -99,9 +107,9 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     """Follow all n eigenpaths from diag(A) to A.
 
     Needs distinct diagonal entries at t = 0 (simple starting spectrum).
-    Raises CollapsedGap if paths fuse along the way, StepLimit if max_steps
-    is hit, TrackerStalled if a sub-solve keeps failing after 10 halvings of
-    the step.
+    Raises ValueError if ||Omega||_F or ||A||_F overflows, CollapsedGap if
+    paths fuse along the way, StepLimit if max_steps is hit, TrackerStalled
+    if a sub-solve keeps failing after 10 halvings of the step.
     """
     cfg = cfg if cfg is not None else TrackerConfig()
     if not _is_int(cfg.max_steps) or cfg.max_steps < 1:
@@ -109,7 +117,11 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     M = as_symmatrix(A)
     n = M.n
     om = omega(M).a
-    om_frob = frob_norm(om)
+    om_frob, a_frob = frob_norm(om), frob_norm(M)
+    for name, norm in (("omega_frob = ||Omega||_F", om_frob), ("||A||_F", a_frob)):
+        if norm == np.inf:
+            raise ValueError(f"{name} overflows; scale A down to track it")
+    om_rel = om_frob / a_frob if om_frob > 0.0 else 0.0
     template = cfg.solve_opts if cfg.solve_opts is not None else SolveOptions(m=1)
     opts = replace(template, want_vector=True, record_history=False)
 
@@ -125,7 +137,7 @@ def track(A, cfg: TrackerConfig | None = None) -> HomotopyPath:
     while t < 1.0:
         if len(path.steps) >= cfg.max_steps:
             raise StepLimit(f"no arrival at t = 1 within {cfg.max_steps} steps")
-        s = step_length(gh, om_frob, cfg.c, t)
+        s = step_length(gh, om_rel, cfg.c, t)
         # Rotate A(t) into the tracked basis once per step. Writing the
         # target as Q^T A(t_next) Q (= Sigma + s Q^T Omega Q when the
         # previous step solved exactly) keeps the per-step solver residual

@@ -13,6 +13,9 @@ from ddjacobi import (
     StepLimit,
     TrackerConfig,
     TrackerStalled,
+    frob_norm,
+    min_relative_gap,
+    omega,
     solve,
     step_length,
     track,
@@ -115,17 +118,32 @@ def test_tracks_dominant_instance():
 
 
 # Greedy steps (c = 4) with a 3-sweep budget: every step but the last is
-# halved once before its subsolves converge.
+# halved one to three times before its subsolves converge.
 HALVING_CASE = (lambda: dio.gen_random_dd(8, 0.3, seed=0),
                 TrackerConfig(c=4.0, solve_opts=SolveOptions(m=1, max_sweeps=3)))
 
 
+def _non_dominant(n, k):
+    """diag(1..n) + k * G, G = (R + R^T) / 2 with R standard normal."""
+    r = np.random.default_rng(3).standard_normal((n, n))
+    return np.diag(np.arange(1.0, n + 1.0)) + k * (0.5 * (r + r.T))
+
+
 def test_halvings_are_counted():
     make, cfg = HALVING_CASE
-    path = track(make(), cfg)
+    A = make()
+    path = track(A, cfg)
     assert path.total_steps == 7
-    assert sum(step.halvings for step in path.steps) == 6
+    assert [step.halvings for step in path.steps] == [3, 3, 3, 2, 2, 1, 0]
     assert path.steps[-1].t == 1.0
+    # Each accepted step is the rule's step, with ||Omega||_F / ||A||_F as
+    # the norm, halved `halvings` times.
+    om_rel = frob_norm(omega(A)) / frob_norm(A)
+    t, gap = 0.0, min_relative_gap(A.to_array().diagonal()).gamma
+    for step in path.steps:
+        rule = step_length(gap, om_rel, cfg.c, t)
+        assert step.s == pytest.approx(rule / 2 ** step.halvings, rel=1e-12)
+        t, gap = step.t, step.gamma_hat
 
 
 def _per_target_solves(B, ms, opts):
@@ -180,9 +198,38 @@ def test_eigenvalue_continuity_along_path():
 
 
 def test_step_limit():
-    A = dio.gen_random_dd(8, 0.3, seed=0)
+    # A dominant matrix arrives in one step; this one needs dozens.
     with pytest.raises(StepLimit):
-        track(A, TrackerConfig(max_steps=1))
+        track(_non_dominant(40, 1.0), TrackerConfig(max_steps=1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [
+    lambda: dio.gen_random_dd(8, 0.3, seed=1).to_array(),
+    lambda: _non_dominant(10, 1.0),
+], ids=["dominant", "non-dominant"])
+def test_steps_are_free_of_scale(make):
+    # The step sees ||Omega||_F only against ||A||_F, so a scaled matrix
+    # takes the same path up to rounding, 1e200 times A included.
+    A = make()
+    paths = [track(k * A, TrackerConfig(max_steps=100)) for k in (1e-170, 1.0, 1e200)]
+    ref = paths[1]
+    for path in paths:
+        assert [step.halvings for step in path.steps] == \
+            [step.halvings for step in ref.steps]
+        np.testing.assert_allclose([step.t for step in path.steps],
+                                   [step.t for step in ref.steps], rtol=0, atol=1e-9)
+        assert path.steps[-1].t == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_dominant_input_reaches_one():
+    A = _non_dominant(40, 3.0)
+    path = track(A)
+    assert path.steps[-1].t == 1.0
+    assert path.max_orth_defect <= 1e-13
+    err = np.max(np.abs(np.sort(path.steps[-1].sigma) - np.linalg.eigvalsh(A)))
+    assert err <= 1e-8 * frob_norm(A)
 
 
 def test_collapsed_gap_on_tied_diagonal():
@@ -212,6 +259,16 @@ def test_overflowing_off_norm_is_rejected():
     # ||Omega||_F = 2e308 overflows; an infinite norm made every step 0.
     with pytest.raises(ValueError, match="omega_frob"):
         track(NORM_OVERFLOWS)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_matrix_norm_is_rejected():
+    # ||Omega||_F = 2.4e300 is finite but ||A||_F overflows: the ratio would
+    # read 0 and jump to t = 1, and the first solve overflowed in an add.
+    a = np.full((3, 3), 1e300)
+    np.fill_diagonal(a, [1.5e308, 1.6e308, 1.7e308])
+    with pytest.raises(ValueError, match=r"\|\|A\|\|_F overflows"):
+        track(a)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), 2.5, 2.0, True])
