@@ -41,11 +41,12 @@ _SKIPPED = {"", "%"}.__contains__  # first character of a blank or % line
 @dataclass
 class HistoryRow:
     """One line of the history CSV, fields in column order; optional cells
-    serialize as empty."""
+    serialize as empty. ``off_total`` and ``alpha`` are None on the records
+    a solve keeps at O(n) (all but its first and last)."""
 
     sweep: int
     off_row_m: float
-    off_total: float
+    off_total: float | None
     a_mm: float
     alpha: float | None = None
     err_vs_ref: float | None = None
@@ -417,7 +418,7 @@ def read_history_csv(path) -> list[HistoryRow]:
         out.append(HistoryRow(
             sweep=_parse_int(cells[0], no),
             off_row_m=_parse_float(cells[1], no),
-            off_total=_parse_float(cells[2], no),
+            off_total=None if cells[2] == "" else _parse_float(cells[2], no),
             a_mm=_parse_float(cells[3], no),
             alpha=None if cells[4] == "" else _parse_float(cells[4], no),
             err_vs_ref=None if cells[5] == "" else _parse_float(cells[5], no),

@@ -22,8 +22,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InputError, InvalidOptions
-from .matcore import (EPS, Permutation, SymMatrix, _is_int, _peak_positive, as_symmatrix,
-                      frob_norm, off_row, sort_by_diagonal)
+from .matcore import (EPS, Permutation, SymMatrix, _is_int, _peak_positive, _scale,
+                      as_symmatrix, frob_norm, off_row, sort_by_diagonal)
 from .rotation import _tangent_cs, apply_right
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -58,7 +58,9 @@ class SolveOptions:
     m is the 1-based rank of the wanted eigenvalue (after the diagonal sort,
     matching the ascending-eigenvalue convention). ``tol`` is the per-entry
     annihilation gate; ``stop_rel`` scales the global stopping test
-    off(A(m,:)) <= stop_rel * frob_norm(A0).
+    off(A(m,:)) <= stop_rel * frob_norm(A0). ``record_history`` keeps one
+    :class:`SweepRecord` per sweep at O(n) each, plus two n x n passes for
+    the full norms of the first and last.
     """
 
     m: int
@@ -74,12 +76,14 @@ class SweepRecord:
     """State snapshot after one sweep (sweep 0 is the initial state).
 
     ``alpha`` and ``off_row_h`` are the off-norms of the scaled iterate H
-    (full and row m); both are None when a diagonal entry is zero.
+    (full and row m); both are None when a diagonal entry is zero. The fields
+    that take an n x n pass, ``off_total`` and ``alpha``, are taken only at
+    sweep 0 and at the last sweep; they are None on the records in between.
     """
 
     sweep: int
     off_row_m: float
-    off_total: float
+    off_total: float | None
     a_mm: float
     alpha: float | None
     off_row_h: float | None
@@ -184,30 +188,26 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
 
 
 def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
-              h: np.ndarray) -> SweepRecord:
-    # The working matrix with its diagonal zeroed in place serves the total
-    # off-norm (note passes the row's); scaling it into the n x n buffer h
-    # leaves the diagonal of H at zero and every off-diagonal entry as
-    # scaled(a) has it (both form dh dh^T through einsum). The diagonal is
-    # written back at the end.
+              h: np.ndarray | None = None) -> SweepRecord:
+    """The record after sweep k: its O(n) fields, and off_total and alpha
+    too when given the n x n buffer h."""
     d = a.diagonal().copy()
-    np.fill_diagonal(a, 0.0)
-    off_total = frob_norm(a)
-    alpha = row_h = None
-    if np.all(d != 0.0):
-        dh = 1.0 / np.sqrt(np.abs(d))
-        np.multiply(a, np.einsum("i,j->ij", dh, dh, out=h), out=h)
-        alpha, row_h = frob_norm(h), frob_norm(h[m0])
-    np.fill_diagonal(a, d)
-    return SweepRecord(
-        sweep=k,
-        off_row_m=off_row_m,
-        off_total=off_total,
-        a_mm=float(d[m0]),
-        alpha=alpha,
-        off_row_h=row_h,
-        rotations_applied=rotations,
-    )
+    rec = SweepRecord(sweep=k, off_row_m=off_row_m, off_total=None, a_mm=float(d[m0]),
+                      alpha=None, off_row_h=None, rotations_applied=rotations)
+    dh = 1.0 / np.sqrt(np.abs(d)) if np.all(d != 0.0) else None
+    if dh is not None:  # off_row(scaled(a), m0), without forming H
+        row = _scale(a[m0], dh[m0], dh, np.empty_like(dh))
+        row[m0] = 0.0
+        rec.off_row_h = frob_norm(row)
+    if h is not None:
+        # The diagonal zeroed in place serves the off-norm, and scaling a into
+        # h then leaves every off-diagonal entry as scaled(a) has it.
+        np.fill_diagonal(a, 0.0)
+        rec.off_total = frob_norm(a)
+        if dh is not None:
+            rec.alpha = frob_norm(_scale(a, dh, dh, h))
+        np.fill_diagonal(a, d)
+    return rec
 
 
 def _replay(x: list[float], m0: int, ks: array, ts: array) -> list[float]:
@@ -400,11 +400,12 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, scratch: np.ndarray | None):
+    def __init__(self, m: int, scratch: np.ndarray | None, last: int):
         # scratch: the n x n snapshot buffer all targets share, or None
-        # when no history is recorded.
+        # when no history is recorded; last: the sweep budget.
         self.m0 = m - 1
         self.scratch = scratch
+        self.last = last
         self.history: list[SweepRecord] = []
         self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
         self.status = SolveStatus.MAX_SWEEPS
@@ -413,23 +414,24 @@ class _Target:
     def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
         """Record the state after sweep k; True once a stopping rule fired."""
         off_m = off_row(a, self.m0)
-        if self.scratch is not None:
-            self.history.append(_snapshot(a, self.m0, off_m, k, rotations, self.scratch))
         recent = self.recent
         recent.append(off_m)
         self.sweeps_used = k
+        stop = True
         if off_m <= threshold:
             self.status = SolveStatus.CONVERGED
-        elif k == 0:
-            return False
-        elif rotations == 0:
+        elif k and rotations == 0:
             self.status = SolveStatus.TOLERANCE_FLOOR
         elif (len(recent) == recent.maxlen
                 and recent[-1] > (1.0 - _STAGNATION_DROP) * recent[0]):
             self.status = SolveStatus.STAGNATED
         else:
-            return False
-        return True
+            stop = False
+        if self.scratch is not None:  # the n x n norms on the first and last record only
+            full = stop or k in (0, self.last)
+            self.history.append(_snapshot(a, self.m0, off_m, k, rotations,
+                                          self.scratch if full else None))
+        return stop
 
 
 def _check_options(n: int, ms, opts: SolveOptions) -> list[int]:
@@ -475,7 +477,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
     scratch = np.empty((n, n)) if opts.record_history else None
-    runs = [_Target(m, scratch) for m in ranks]
+    runs = [_Target(m, scratch, opts.max_sweeps) for m in ranks]
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None

@@ -61,6 +61,24 @@ class TestEig:
         assert rows[-1].err_vs_ref < 1e-8
         capsys.readouterr()
 
+    def test_history_round_trip(self, tmp_path, capsys):
+        # drk1(63) takes many sweeps: off_total and alpha cells are empty on
+        # every row but the first and last, and each row reads back as written.
+        p, hist = tmp_path / "drk1.mtx", tmp_path / "h.csv"
+        A = dio.gen_diag_rank1(63)
+        dio.write_matrix_market(p, A)
+        code = main(["eig", "--input", str(p), "--m", "32", "--stop-rel", "1e-9",
+                     "--history", str(hist)])
+        assert code == 0
+        res = solver.solve(A, solver.SolveOptions(m=32, stop_rel=1e-9))
+        rows = dio.read_history_csv(hist)
+        assert len(rows) == res.sweeps_used + 1 > 3
+        assert rows == [dio.HistoryRow.from_record(r) for r in res.history]
+        cells = [ln.split(",") for ln in hist.read_text().splitlines()[1:]]
+        assert all(c[2] != "" and c[4] != "" for c in (cells[0], cells[-1]))
+        assert all(c[2] == "" and c[4] == "" for c in cells[1:-1])
+        capsys.readouterr()
+
     def test_history_only_when_asked(self, dom_mtx, tmp_path, monkeypatch,
                                      capsys):
         argv = ["eig", "--input", str(dom_mtx), "--m", "2", "--vector"]

@@ -607,6 +607,12 @@ class TestHistoryCsv:
         with pytest.raises(ParseError):
             dio.read_history_csv(p)
 
+    def test_empty_off_total_reads_as_none(self, tmp_path):
+        # A record between a solve's first and last keeps no n x n norms.
+        p = put(tmp_path, "h.csv", dio.HISTORY_HEADER + "\n1,0.5,,2.0,,\n")
+        assert dio.read_history_csv(p) == [dio.HistoryRow(
+            sweep=1, off_row_m=0.5, off_total=None, a_mm=2.0, alpha=None, err_vs_ref=None)]
+
     def test_from_record(self):
         rec = SweepRecord(sweep=3, off_row_m=1e-4, off_total=2e-3, a_mm=5.5,
                           alpha=0.1, off_row_h=0.05, rotations_applied=7)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ddjacobi import (
     Permutation,
     SymMatrix,
     ZeroDiagonal,
+    alpha,
     as_symmatrix,
     frob_norm,
     off_norm,
@@ -356,6 +359,24 @@ class TestScaled:
             want = a * np.outer(dh, dh)
             np.fill_diagonal(want, np.sign(d))
             assert scaled(a).a.tobytes() == want.tobytes()
+
+    def test_entries_where_the_diagonal_products_overflow(self):
+        # dh_0 dh_1 = 4.5e161 * 1e150 and dh_0^2 overflow, but h_01 is ~4.5e-9;
+        # the products with dh_2 stay finite and keep a_ij fl(dh_i dh_j).
+        from mpmath import mp, mpf, sqrt
+        a = np.array([[5e-324, 1e-320, 1e-170],
+                      [1e-320, 1e-300, 3e-160],
+                      [1e-170, 3e-160, 2.0]])
+        mp.dps = 40
+        H = scaled(a).a
+        assert np.array_equal(H, H.T)
+        assert np.array_equal(H.diagonal(), [1.0, 1.0, 1.0])
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            h = float(mpf(a[i, j]) / sqrt(mpf(a[i, i]) * mpf(a[j, j])))
+            assert H[i, j] == pytest.approx(h, rel=1e-15)
+        dh = 1.0 / np.sqrt(a.diagonal())
+        assert H[0, 2] == a[0, 2] * (dh[0] * dh[2]) and H[1, 2] == a[1, 2] * (dh[1] * dh[2])
+        assert alpha(a) == pytest.approx(math.sqrt(2.0) * frob_norm(np.triu(H, 1)), rel=1e-15)
 
     def test_zero_diagonal_raises_with_position(self):
         a = np.eye(4)

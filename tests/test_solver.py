@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddjacobi import (
     AsymmetricInput,
     InputError,
     InvalidOptions,
     Permutation,
+    STOP_REL_DEFAULT,
     SolveOptions,
     SolveStatus,
     SymMatrix,
@@ -366,9 +368,13 @@ def test_history_contents(rng):
     assert hs[0].rotations_applied == 0
     assert all(h.off_row_m >= 0 for h in hs)
     assert hs[-1].off_row_m <= hs[0].off_row_m
-    # positive diagonal: scaled-row diagnostics present and consistent
-    assert all(h.alpha is not None and h.off_row_h is not None for h in hs)
-    assert all(h.off_row_h <= h.alpha + 1e-15 for h in hs)
+    # positive diagonal: the scaled row on every record, the n x n norms on
+    # the first and last, and consistent where both are present
+    assert len(hs) > 2
+    assert all(h.off_row_h is not None for h in hs)
+    assert all(h.alpha is not None and h.off_total is not None for h in (hs[0], hs[-1]))
+    assert all(h.alpha is None and h.off_total is None for h in hs[1:-1])
+    assert all(h.off_row_h <= h.alpha + 1e-15 for h in (hs[0], hs[-1]))
     assert hs[-1].a_mm == res.lambda_hat
 
 
@@ -393,6 +399,10 @@ def test_history_scaled_fields_none_on_zero_diagonal():
     # D H D with a diagonal from 1e-150 to 1e150: dh_i dh_j spans 1e-150 to
     # 1e150 where the history's scaling and scaled() must agree.
     pytest.param(lambda: graded(dio.gen_random_dd(40, 0.3, seed=4), 75), 17, id="graded-1e150"),
+    # dh_0 dh_1 = 4.5e161 * 1e150 overflows: alpha and off_row_h read nan,
+    # with an invalid-value warning, and alpha(B) inf.
+    pytest.param(lambda: SymMatrix([[5e-324, 1e-320], [1e-320, 1e-300]]), 1,
+                 id="overflowing-scale-product"),
 ])
 def test_sweep_record_fields_are_the_public_quantities(make, m):
     A0 = make()
@@ -418,6 +428,75 @@ def test_sweep_record_fields_on_a_zero_diagonal():
     assert rec.alpha is None and rec.off_row_h is None
     with pytest.raises(ZeroDiagonal):
         scaled(B)
+
+
+def assert_records_replay(A, res, m, tol):
+    """Each record of ``res`` holds the quantities of its iterate, rebuilt by
+    replaying the solve's sweeps through :func:`sweep` on the sorted copy:
+    the O(n) fields on every record; off_total and alpha on the first and
+    last, None on the records in between."""
+    b = res.permutation.apply(A).a
+    hs = res.history
+    assert [h.sweep for h in hs] == list(range(res.sweeps_used + 1))
+    for k, rec in enumerate(hs):
+        rotations = sweep(b, m, tol) if k else 0
+        positive = np.all(b.diagonal() != 0.0)
+        assert rec.off_row_m == off_row(b, m - 1)
+        assert rec.a_mm == b[m - 1, m - 1]
+        assert rec.rotations_applied == rotations
+        assert rec.off_row_h == (off_row(scaled(b), m - 1) if positive else None)
+        if k in (0, len(hs) - 1):
+            assert rec.off_total == off_norm(b)
+            assert rec.alpha == (alpha(b) if positive else None)
+        else:
+            assert rec.off_total is None and rec.alpha is None
+    assert res.lambda_hat == hs[-1].a_mm
+
+
+# name -> (matrix, options, the endings its ranks reach)
+RECORD_CASES = {
+    "converged": (lambda: dio.gen_random_dd(20, 0.3, 1), SolveOptions(m=1),
+                  {SolveStatus.CONVERGED}),
+    "max-sweeps": (lambda: dio.gen_random_dd(12, 0.3, 3), SolveOptions(m=1, max_sweeps=3),
+                   {SolveStatus.MAX_SWEEPS}),
+    "tolerance-floor": (lambda: dio.gen_random_dd(12, 0.3, 3),
+                        SolveOptions(m=1, tol=0.05, stop_rel=0.0),
+                        {SolveStatus.TOLERANCE_FLOOR}),
+    # Two ranks stagnate early; the rest run out of their 200 sweeps in the batch.
+    "stagnated": (lambda: rand_sym(np.random.default_rng(4), 10),
+                  SolveOptions(m=1, stop_rel=0.0),
+                  {SolveStatus.STAGNATED, SolveStatus.MAX_SWEEPS}),
+    # A zero diagonal entry: no scaled fields until a rotation moves it.
+    "zero-diagonal": (lambda: np.array([[0.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 3.0]]),
+                      SolveOptions(m=1), {SolveStatus.CONVERGED}),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_records_hold_their_iterates(case):
+    make, opts, endings = RECORD_CASES[case]
+    A = make()
+    n = as_symmatrix(A).n
+    batch = solve_many(A, range(1, n + 1), opts)
+    assert {r.status for r in batch} == endings
+    assert max(r.sweeps_used for r in batch) >= 2  # a record between the ends
+    for m, res in enumerate(batch, 1):
+        assert_records_replay(A, res, m, opts.tol)
+    for m in {1, n // 2 + 1, n}:
+        assert_records_replay(A, solve(A, replace(opts, m=m)), m, opts.tol)
+
+
+@given(n=st.integers(2, 12), e=st.floats(0.0, 150.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_records_hold_their_iterates_on_graded_matrices(n, e, seed, data):
+    # D H D with a diagonal from 10^-e to 10^e, permuted: dh_i dh_j spans up
+    # to 1e150 each way.
+    A = Permutation(np.random.default_rng(seed).permutation(n)).apply(
+        graded(dio.gen_random_dd(n, 0.3, seed), e))
+    m = data.draw(st.integers(1, n))
+    opts = SolveOptions(m=m, stop_rel=data.draw(st.sampled_from([0.0, 1e-9, STOP_REL_DEFAULT])))
+    assert_records_replay(A, solve(A, opts), m, 0.0)
 
 
 def test_single_entry_matrix():
