@@ -52,11 +52,8 @@ class HistoryRow:
     err_vs_ref: float | None = None
 
     @classmethod
-    def from_record(cls, rec: SweepRecord,
-                    err_vs_ref: float | None = None) -> "HistoryRow":
-        return cls(sweep=rec.sweep, off_row_m=rec.off_row_m,
-                   off_total=rec.off_total, a_mm=rec.a_mm,
-                   alpha=rec.alpha, err_vs_ref=err_vs_ref)
+    def from_record(cls, rec: SweepRecord, err_vs_ref: float | None = None) -> "HistoryRow":
+        return cls(rec.sweep, rec.off_row_m, rec.off_total, rec.a_mm, rec.alpha, err_vs_ref)
 
 
 def _parse_float(token: str, lineno: int) -> float:
@@ -403,26 +400,19 @@ def write_history_csv(path, rows) -> None:
 
 
 def read_history_csv(path) -> list[HistoryRow]:
-    """Inverse of :func:`write_history_csv`; a byte-order mark is skipped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != HISTORY_HEADER:
-        raise ParseError(1, f"expected header {HISTORY_HEADER!r}")
+    """Inverse of :func:`write_history_csv`, record by record through
+    :func:`_records`; an empty off_total, alpha or err_vs_ref cell is None."""
+    records = _records(path)
+    no, cells = next(records, (1, None))
+    if cells != HISTORY_HEADER.split(","):
+        raise ParseError(no, f"expected header {HISTORY_HEADER!r}")
     out = []
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
+    for no, cells in records:
         if len(cells) != 6:
             raise ParseError(no, f"expected 6 cells, got {len(cells)}")
-        out.append(HistoryRow(
-            sweep=_parse_int(cells[0], no),
-            off_row_m=_parse_float(cells[1], no),
-            off_total=None if cells[2] == "" else _parse_float(cells[2], no),
-            a_mm=_parse_float(cells[3], no),
-            alpha=None if cells[4] == "" else _parse_float(cells[4], no),
-            err_vs_ref=None if cells[5] == "" else _parse_float(cells[5], no),
-        ))
+        out.append(HistoryRow(_parse_int(cells[0], no), *[
+            None if i in (2, 4, 5) and cells[i] == "" else _parse_float(cells[i], no)
+            for i in range(1, 6)]))
     return out
 
 

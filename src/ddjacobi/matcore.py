@@ -218,19 +218,19 @@ def scaled(A) -> SymMatrix:
     if zero.size:
         raise ZeroDiagonal(int(zero[0]) + 1)
     dh = 1.0 / np.sqrt(np.abs(d))
-    h = _scale(a, dh, dh, np.empty_like(a))
+    h = _scale(a, dh, dh)
     np.fill_diagonal(h, np.sign(d))
     return SymMatrix._wrap(h)
 
 
-def _scale(a: np.ndarray, dl, dr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a_ij fl(dl_i dr_j), the off-diagonal entries of :func:`scaled`
-    from dh = |d|^{-1/2}: the matrix for dl = dh, row i for dl = dh[i].
+def _scale(a: np.ndarray, dl, dr: np.ndarray) -> np.ndarray:
+    """a_ij fl(dl_i dr_j) in a new array, the off-diagonal entries of
+    :func:`scaled` from dh = |d|^{-1/2}: the matrix for dl = dh, row i for dl = dh[i].
     Where fl(dl_i dr_j) overflows (|d_i d_j| below ~3e-617), a_ij times the
     larger factor, then the smaller: symmetric, and out of the subnormals
     first."""
     # np.outer's bits (einsum's 0 + x is exact for dh > 0) at half its time
-    np.einsum("...,j->...j", dl, dr, out=out)
+    out = np.einsum("...,j->...j", dl, dr)
     if float(np.max(dl)) * float(dr.max()) < math.inf:
         return np.multiply(a, out, out=out)
     ij = np.isinf(out).nonzero()

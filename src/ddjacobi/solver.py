@@ -21,9 +21,10 @@ from itertools import repeat
 
 import numpy as np
 
+from .diagnostics import alpha
 from .errors import InputError, InvalidOptions
 from .matcore import (EPS, Permutation, SymMatrix, _is_int, _peak_positive, _scale,
-                      as_symmatrix, frob_norm, off_row, sort_by_diagonal)
+                      as_symmatrix, frob_norm, off_norm, off_row, sort_by_diagonal)
 from .rotation import _tangent_cs, apply_right
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -77,8 +78,9 @@ class SweepRecord:
 
     ``alpha`` and ``off_row_h`` are the off-norms of the scaled iterate H
     (full and row m); both are None when a diagonal entry is zero. The fields
-    that take an n x n pass, ``off_total`` and ``alpha``, are taken only at
-    sweep 0 and at the last sweep; they are None on the records in between.
+    that take an n x n pass (over a short-lived copy), ``off_total`` and
+    ``alpha``, are taken only at sweep 0 and at the last sweep; they are None
+    on the records in between.
     """
 
     sweep: int
@@ -142,8 +144,7 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     (u0, u1), (v0, v1) = u, v
     rm[:] = a[m0]
     amm = a.item(m0, m0)
-    plan = list(range(0, m0)) + list(range(n - 1, m0, -1))
-    for k in plan:
+    for k in _order(n, m0).ravel().tolist():
         apq = rm.item(k)
         if apq == 0.0 or abs(apq) < tol:
             continue
@@ -188,25 +189,18 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
 
 
 def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
-              h: np.ndarray | None = None) -> SweepRecord:
-    """The record after sweep k: its O(n) fields, and off_total and alpha
-    too when given the n x n buffer h."""
-    d = a.diagonal().copy()
-    rec = SweepRecord(sweep=k, off_row_m=off_row_m, off_total=None, a_mm=float(d[m0]),
-                      alpha=None, off_row_h=None, rotations_applied=rotations)
-    dh = 1.0 / np.sqrt(np.abs(d)) if np.all(d != 0.0) else None
-    if dh is not None:  # off_row(scaled(a), m0), without forming H
-        row = _scale(a[m0], dh[m0], dh, np.empty_like(dh))
+              full: bool) -> SweepRecord:
+    """The record after sweep k: its O(n) fields, and when ``full`` also
+    off_total and alpha, from :func:`off_norm` and :func:`alpha` of a."""
+    d = a.diagonal()
+    rec = SweepRecord(sweep=k, off_row_m=off_row_m, off_total=off_norm(a) if full else None,
+                      a_mm=d.item(m0), alpha=None, off_row_h=None, rotations_applied=rotations)
+    if np.all(d != 0.0):  # off_row(scaled(a), m0), without forming H
+        dh = 1.0 / np.sqrt(np.abs(d))
+        row = _scale(a[m0], dh[m0], dh)
         row[m0] = 0.0
         rec.off_row_h = frob_norm(row)
-    if h is not None:
-        # The diagonal zeroed in place serves the off-norm, and scaling a into
-        # h then leaves every off-diagonal entry as scaled(a) has it.
-        np.fill_diagonal(a, 0.0)
-        rec.off_total = frob_norm(a)
-        if dh is not None:
-            rec.alpha = frob_norm(_scale(a, dh, dh, h))
-        np.fill_diagonal(a, d)
+        rec.alpha = alpha(a) if full else None
     return rec
 
 
@@ -292,9 +286,9 @@ class _RotationLog:
 def _plan(n: int, targets: tuple[int, ...], m0s: tuple[int, ...]):
     """The read-only index arrays of one batched sweep, per active set.
 
-    Plan step j of target m0 rotates in plane (k, m0): k = 0..m0-1 ascending,
-    then n-1..m0+1 descending. Returns the targets' stack indices and, per
-    step: the flat (p, p), (p, q), (q, q) entries; rows p and q in the
+    A sweep takes n - 1 plan steps; step j of target m0 rotates in plane
+    (k, m0), k from :func:`_order`. Returns the targets' stack indices and,
+    per step: the flat (p, p), (p, q), (q, q) entries; rows p and q in the
     (targets * n, n) view; the plane (p, q) as column indices; the 2x2
     block's slots in the two new rows (:func:`_block`); and the rows as the
     rotation log stores them. A plan takes 96 bytes per target and step,
@@ -302,8 +296,7 @@ def _plan(n: int, targets: tuple[int, ...], m0s: tuple[int, ...]):
     """
     tix = np.array(targets)
     m0 = np.array(m0s)
-    step = np.arange(n - 1)[:, None]
-    k = np.where(step < m0, step, n - 1 + m0 - step)
+    k = _order(n, m0)
     planes = np.stack((np.minimum(k, m0), np.maximum(k, m0)), axis=1)  # (n-1, 2, targets)
     rows = planes + tix * n
     entries = rows[:, [0, 0, 1]] * n + planes[:, [0, 1, 1]]
@@ -312,6 +305,12 @@ def _plan(n: int, targets: tuple[int, ...], m0s: tuple[int, ...]):
         x.flags.writeable = False
     return tix, [(e, r, c, blk, _pairs(r))
                  for e, r, c, blk in zip(entries, rows, planes, blocks)]
+
+
+def _order(n: int, m0) -> np.ndarray:
+    """The paper's plane order: k of each step (k, m0) down axis 0, 0..m0-1 then n-1..m0+1."""
+    step = np.arange(n - 1)[:, None]
+    return np.where(step < m0, step, n - 1 + m0 - step)
 
 
 def _block(cols: np.ndarray, n: int) -> np.ndarray:
@@ -326,7 +325,7 @@ def _pairs(ij: np.ndarray) -> bytes:
 
 
 # theta = (a_qq - a_pp) / (2 a_pq) may overflow: inf gives t = 0, silently as in
-# sweep. Guarded per call (~2 us), not per plan step (~2,400 in a 20x20 track).
+# sweep. Guarded per call (~2 us), not per plan step (152 in a 20x20 track's 8 sweeps).
 @np.errstate(over="ignore")
 def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
                 log: _RotationLog | None) -> list[int]:
@@ -400,11 +399,10 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, scratch: np.ndarray | None, last: int):
-        # scratch: the n x n snapshot buffer all targets share, or None
-        # when no history is recorded; last: the sweep budget.
+    def __init__(self, m: int, record: bool, last: int):
+        # record: whether history is kept; last: the sweep budget.
         self.m0 = m - 1
-        self.scratch = scratch
+        self.record = record
         self.last = last
         self.history: list[SweepRecord] = []
         self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
@@ -427,10 +425,9 @@ class _Target:
             self.status = SolveStatus.STAGNATED
         else:
             stop = False
-        if self.scratch is not None:  # the n x n norms on the first and last record only
-            full = stop or k in (0, self.last)
+        if self.record:  # the n x n norms on the first and last record only
             self.history.append(_snapshot(a, self.m0, off_m, k, rotations,
-                                          self.scratch if full else None))
+                                          stop or k in (0, self.last)))
         return stop
 
 
@@ -476,8 +473,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     if frob == math.inf:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
-    scratch = np.empty((n, n)) if opts.record_history else None
-    runs = [_Target(m, scratch, opts.max_sweeps) for m in ranks]
+    runs = [_Target(m, opts.record_history, opts.max_sweeps) for m in ranks]
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None

@@ -613,6 +613,28 @@ class TestHistoryCsv:
         assert dio.read_history_csv(p) == [dio.HistoryRow(
             sweep=1, off_row_m=0.5, off_total=None, a_mm=2.0, alpha=None, err_vs_ref=None)]
 
+    @pytest.mark.parametrize("text", [
+        "\n  \n" + dio.HISTORY_HEADER + "\n0,0.5,0.25,2.0,,\n",
+        dio.HISTORY_HEADER + '\n"0",0.5,"0.25",2.0,"",\n',
+        dio.HISTORY_HEADER + "\n0,0.5,0.25,2.0, ,\t\n",
+    ], ids=["blank-lines-before-header", "quoted-cells", "whitespace-only-optional-cells"])
+    def test_read_as_the_other_csv_readers_read(self, tmp_path, text):
+        # The points and grid readers' dialect: blank records are skipped
+        # wherever they are, quotes are CSV quoting, and cells are stripped,
+        # so a whitespace-only optional cell is empty and reads as None.
+        assert dio.read_history_csv(put(tmp_path, "h.csv", text)) == [dio.HistoryRow(
+            sweep=0, off_row_m=0.5, off_total=0.25, a_mm=2.0, alpha=None, err_vs_ref=None)]
+
+    def test_errors_name_the_line_past_blank_lines(self, tmp_path):
+        p = put(tmp_path, "h.csv", "\n" + dio.HISTORY_HEADER + "\n\n0,0.5,0.25\n")
+        with pytest.raises(ParseError) as exc:
+            dio.read_history_csv(p)
+        assert exc.value.line == 4
+        p = put(tmp_path, "h.csv", "\n\nsweep,resid\n")
+        with pytest.raises(ParseError) as exc:
+            dio.read_history_csv(p)
+        assert exc.value.line == 3
+
     def test_from_record(self):
         rec = SweepRecord(sweep=3, off_row_m=1e-4, off_total=2e-3, a_mm=5.5,
                           alpha=0.1, off_row_h=0.05, rotations_applied=7)

@@ -1,6 +1,9 @@
 """The package surface: ``ddjacobi`` exports each module's ``__all__``."""
 
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import ddjacobi as dj
 from ddjacobi import (
@@ -51,3 +54,21 @@ def test_public_surface_is_pinned():
         "omega", "rel", "scaled", "schur2", "sep_bound", "solve", "solve_many",
         "sort_by_diagonal", "step_length", "sweep", "thm2_bound", "track",
     ]
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # The only runtime dependency is numpy: every absolute import in the
+    # package's sources names a standard-library module or numpy.
+    sources = sorted((Path(__file__).parents[1] / "src" / "ddjacobi").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {name}"

@@ -737,8 +737,8 @@ def test_vectors_take_no_n_by_n_storage(ms):
 
 
 def test_history_takes_one_snapshot_buffer():
-    # The sorted working copy and one n x n snapshot buffer: the diagonal of
-    # the working copy is zeroed in place for the unscaled norms.
+    # The sorted working copy and, at the first and last record only, one
+    # short-lived n x n copy at a time for off_norm and alpha.
     n = 400
     A = dio.gen_random_dd(n, 0.005, 1)
     opts = SolveOptions(m=n // 2, want_vector=True, record_history=True)
