@@ -3,7 +3,8 @@
 The correctness oracle for the targeted solver and, up to n = 128, the
 spectrum source for exact modes. Sweeps run until the off-norm falls below
 sqrt(eps) * frob_norm(A0), each in N - 1 rounds of N/2 disjoint rotations
-(Brent & Luk, SISSC 1985; Sameh, Math. Comp. 1971), a few numpy calls each.
+(Brent & Luk, SISSC 1985; Sameh, Math. Comp. 1971), a few numpy calls each,
+with the symmetry that rounding breaks restored once per sweep.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ __all__ = ["EigDecomposition", "full_jacobi"]
 # Above this order, exact-mode spectra come from LAPACK, accurate only
 # relative to ||A||: on graded D*H*D (n = 16, D from 1e-6 to 1e6) its small
 # eigenvalues were off by up to 8e6 relative, the oracle's by 1.1e-12
-# (tests/test_reference.py). Values only, the oracle takes 0.05-0.07 s at
-# n = 100 and 0.14 s at 128 on a Laplacian (8-9 sweeps); at 256, 0.28 s on
-# random-dd (3 sweeps) and 0.9-1.0 s on a Laplacian.
+# (tests/test_reference.py). Values only, the oracle takes 0.033 s at
+# n = 100 and 0.073-0.079 s at 128 on a Laplacian (8-9 sweeps); at 256,
+# 0.14 s on random-dd (3 sweeps) and 0.41-0.44 s on a Laplacian (9).
 _ORACLE_CUTOFF = 128
 
 
@@ -62,7 +63,9 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
 
     A sweep is N - 1 rounds, each gathered by :func:`_round_robin` (odd n
     gains a zero row, which never rotates). A round forms B = R^T P A, then
-    R^T (P A P^T) R = R^T P B^T as A is symmetric, each a batched 2x2 product.
+    R^T P B^T = J^T A^T J (J = P^T R), each a batched 2x2 product: no round
+    needs symmetry, which each sweep restores for its off-norm test by
+    copying the lower triangle onto the upper (no overflow, no rounding).
     """
     if not _is_int(max_sweeps) or max_sweeps < 1:
         raise InvalidOptions(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
@@ -80,17 +83,21 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
     # flat index of each round's a_pq, after P; Python ints, as an integer
     # ufunc would map numpy code that nothing else in the job runs
     pq = np.array([p * N + q for p, q in zip(g[0::2].tolist(), g[1::2].tolist())])
-    a, b, w = np.zeros((N, N)), np.empty((N, N)), np.empty((N // 2, 2, 2))
-    a[:n, :n] = M.a
-    a3, b3 = a.reshape(N // 2, 2, N), b.reshape(N // 2, 2, N)
-    flat = a.reshape(-1)
-    diag, upper, lower = flat[::N + 1], flat[1::2 * N + 2], flat[N::2 * N + 2]
+    w, above = np.empty((N // 2, 2, 2)), np.triu(np.ones((N, N), dtype=bool), 1)
+    # Each buffer with its row pairs, flat view, diagonal and pair entries
+    # a_pq, a_qp; a round leaves its result in the other, so they swap roles.
+    bufs = [(x, x.reshape(N // 2, 2, N), f, f[::N + 1], f[1::2 * N + 2], f[N::2 * N + 2])
+            for x in (np.zeros((N, N)), np.empty((N, N))) for f in (x.reshape(-1),)]
+    bufs[0][0][:n, :n] = M.a
     if _vectors:
         vt = np.eye(N)
         vt3 = vt.reshape(N // 2, 2, N)
 
     sweeps = 0
     while True:
+        (a, _, _, diag, _, _), (b, *_) = bufs
+        np.copyto(b, a.T)
+        np.copyto(a, b, where=above)
         # off_norm(a) without its N x N copy: the diagonal is zeroed in place
         # for the norm, then restored.
         d = diag.copy()
@@ -103,31 +110,31 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
             raise NoConvergence(
                 f"off-norm {off:.3e} still above {target:.3e} after {max_sweeps} sweeps"
             )
-        for _ in range(N - 1):
-            d, apq = diag[g], flat[pq]
-            live = np.abs(apq) >= gate
-            # _tangent_cs's t: 1 at theta = +-0 (theta + 0.0 is +0.0), 0 if
-            # gated or if theta overflows
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for _ in range(N - 1):
+                (a, a3, flat, diag, _, _), (b, b3, _, _, upper, lower) = bufs
+                d, apq = diag[g], flat[pq]
+                live = np.abs(apq) >= gate
+                # _tangent_cs's t: 1 at theta = +-0 (theta + 0.0 is +0.0), 0 if
+                # gated or if theta overflows
                 theta = (d[1::2] - d[0::2]) / (2.0 * np.where(live, apq, 1.0))
-            t = np.copysign(live, theta + 0.0) / (np.abs(theta) + np.hypot(1.0, theta))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            w[:, 0, 0] = w[:, 1, 1] = c  # w = ((c, -s), (s, c)), s = t c
-            np.multiply(t, c, out=w[:, 1, 0])
-            np.negative(w[:, 1, 0], out=w[:, 0, 1])
-            # g is in range; mode="raise" would buffer out (N^2). The take
-            # method skips np.take's Python wrapper, ~2 us a call.
-            a.take(g, axis=0, out=b, mode="clip")
-            np.matmul(w, b3, out=a3)
-            np.copyto(b, a.T)
-            b.take(g, axis=0, out=a, mode="clip")
-            np.matmul(w, a3, out=b3)
-            np.add(b, b.T, out=a)
-            a *= 0.5
-            upper[live] = lower[live] = 0.0
-            if _vectors:
-                vt.take(g, axis=0, out=b, mode="clip")
-                np.matmul(w, b3, out=vt3)
+                t = np.copysign(live, theta + 0.0) / (np.abs(theta) + np.hypot(1.0, theta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                w[:, 0, 0] = w[:, 1, 1] = c  # w = ((c, -s), (s, c)), s = t c
+                np.multiply(t, c, out=w[:, 1, 0])
+                np.negative(w[:, 1, 0], out=w[:, 0, 1])
+                # g is in range; mode="raise" would buffer out (N^2). The take
+                # method skips np.take's Python wrapper, ~2 us a call.
+                a.take(g, axis=0, out=b, mode="clip")
+                np.matmul(w, b3, out=a3)
+                np.copyto(b, a.T)
+                b.take(g, axis=0, out=a, mode="clip")
+                np.matmul(w, a3, out=b3)
+                upper[live] = lower[live] = 0.0
+                if _vectors:
+                    vt.take(g, axis=0, out=a, mode="clip")
+                    np.matmul(w, a3, out=vt3)
+                bufs.reverse()
         sweeps += 1
 
     order = np.argsort(diag[:n], kind="stable")

@@ -188,19 +188,24 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
     return count
 
 
+def _totals(a: np.ndarray) -> tuple[float, float | None]:
+    """A full record's off_total and alpha, :func:`off_norm` and :func:`alpha`
+    of a (alpha None where a diagonal entry is zero)."""
+    return off_norm(a), alpha(a) if np.all(a.diagonal() != 0.0) else None
+
+
 def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
-              full: bool) -> SweepRecord:
-    """The record after sweep k: its O(n) fields, and when ``full`` also
-    off_total and alpha, from :func:`off_norm` and :func:`alpha` of a."""
+              totals: tuple) -> SweepRecord:
+    """The record after sweep k: its O(n) fields, and off_total and alpha
+    from ``totals`` (:func:`_totals` of a in a full record, None otherwise)."""
     d = a.diagonal()
-    rec = SweepRecord(sweep=k, off_row_m=off_row_m, off_total=off_norm(a) if full else None,
-                      a_mm=d.item(m0), alpha=None, off_row_h=None, rotations_applied=rotations)
+    rec = SweepRecord(sweep=k, off_row_m=off_row_m, off_total=totals[0], a_mm=d.item(m0),
+                      alpha=totals[1], off_row_h=None, rotations_applied=rotations)
     if np.all(d != 0.0):  # off_row(scaled(a), m0), without forming H
         dh = 1.0 / np.sqrt(np.abs(d))
         row = _scale(a[m0], dh[m0], dh)
         row[m0] = 0.0
         rec.off_row_h = frob_norm(row)
-        rec.alpha = alpha(a) if full else None
     return rec
 
 
@@ -399,10 +404,10 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
 class _Target:
     """Stopping bookkeeping of one target rank inside :func:`solve_many`."""
 
-    def __init__(self, m: int, record: bool, last: int):
-        # record: whether history is kept; last: the sweep budget.
+    def __init__(self, m: int, first: tuple | None, last: int):
+        # first: sweep 0's _totals (None: no history); last: the sweep budget.
         self.m0 = m - 1
-        self.record = record
+        self.first = first
         self.last = last
         self.history: list[SweepRecord] = []
         self.recent: deque[float] = deque(maxlen=_STAGNATION_SWEEPS + 1)
@@ -425,9 +430,10 @@ class _Target:
             self.status = SolveStatus.STAGNATED
         else:
             stop = False
-        if self.record:  # the n x n norms on the first and last record only
-            self.history.append(_snapshot(a, self.m0, off_m, k, rotations,
-                                          stop or k in (0, self.last)))
+        if self.first is not None:  # the n x n norms on the first and last record only
+            totals = (self.first if k == 0 else _totals(a) if stop or k == self.last
+                      else (None, None))
+            self.history.append(_snapshot(a, self.m0, off_m, k, rotations, totals))
         return stop
 
 
@@ -473,7 +479,9 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     if frob == math.inf:
         raise InputError("the Frobenius norm of the matrix overflows")
     threshold = opts.stop_rel * frob
-    runs = [_Target(m, opts.record_history, opts.max_sweeps) for m in ranks]
+    # Every target starts from b, so sweep 0's n x n norms are taken once.
+    first = _totals(b) if opts.record_history else None
+    runs = [_Target(m, first, opts.max_sweeps) for m in ranks]
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None

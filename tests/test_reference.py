@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ddjacobi.io as dio
-from ddjacobi import InputError, InvalidOptions, NoConvergence, full_jacobi
+from ddjacobi import (InputError, InvalidOptions, NoConvergence, PointCloud, full_jacobi,
+                      gaussian_similarity, normalized_laplacian)
 from ddjacobi.reference import _exact_values
 from conftest import NORM_OVERFLOWS, rand_sym
 
@@ -128,3 +131,35 @@ def test_graded_spectrum_relative_to_each_eigenvalue():
                 mp.eigsy(mp.matrix(a.tolist()), eigvals_only=True))])
             err = np.abs(full_jacobi(a).values - lam) / np.abs(lam)
             assert err.max() <= 1e-7
+
+
+def test_entries_near_the_float_limit_stay_finite():
+    # Averaging a with its transpose overflowed here: "overflow encountered
+    # in add" and [-9.90e305, inf], where eigvalsh gives 1.0099e308.
+    a = np.array([[1e308, 1e307], [1e307, 0.0]])
+    want = np.linalg.eigvalsh(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [full_jacobi(a).values, full_jacobi(a, _vectors=False).values, _exact_values(a)]
+    for values in got:
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values - want) <= 1e-14 * np.abs(want))
+
+
+def _two_blob_laplacian():
+    # c10's matrix: two seeded blobs of 50 points, sigma = 1.
+    rng = np.random.default_rng(42)
+    pts = np.vstack([0.5 * rng.standard_normal((50, 2)),
+                     np.array([8.0, 8.0]) + 0.5 * rng.standard_normal((50, 2))])
+    return normalized_laplacian(gaussian_similarity(PointCloud(pts), 1.0))
+
+
+@pytest.mark.parametrize("make, sweeps", [
+    (_two_blob_laplacian, 8),
+    (lambda: dio.gen_random_dd(100, 0.3, seed=100), 3),
+    (lambda: dio.gen_random_dd(128, 0.3, seed=5), 3),
+], ids=["c10-laplacian", "dd100", "dd128"])
+def test_symmetry_once_per_sweep_costs_no_sweep(make, sweeps):
+    # The sweeps these took when every round averaged a with its transpose;
+    # NoConvergence here means the once-per-sweep symmetrization costs sweeps.
+    full_jacobi(make(), max_sweeps=sweeps)

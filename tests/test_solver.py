@@ -27,6 +27,7 @@ from ddjacobi import (
     sweep,
 )
 import ddjacobi.io as dio
+import ddjacobi.solver as solver
 from ddjacobi.rotation import _tangent_cs, apply_right, apply_two_sided, schur2
 from conftest import NORM_OVERFLOWS, peak_matrices, rand_sym
 
@@ -484,6 +485,31 @@ def test_records_hold_their_iterates(case):
         assert_records_replay(A, res, m, opts.tol)
     for m in {1, n // 2 + 1, n}:
         assert_records_replay(A, solve(A, replace(opts, m=m)), m, opts.tol)
+
+
+@pytest.mark.parametrize("case", ["converged", "stagnated", "zero-diagonal"])
+def test_first_records_share_one_pair_of_norms(case, monkeypatch):
+    # Every target starts from the sorted matrix, so sweep 0's off_total and
+    # alpha are taken once per call; each later full record takes its own.
+    make, opts, _ = RECORD_CASES[case]
+    A = make()
+    n = as_symmatrix(A).n
+    calls = {"off_norm": 0, "alpha": 0}
+    for name in calls:
+        def counted(a, real=getattr(solver, name), name=name):
+            calls[name] += 1
+            return real(a)
+        monkeypatch.setattr(solver, name, counted)
+    batch = solve_many(A, range(1, n + 1), opts)
+    monkeypatch.undo()
+    later = [r.history[-1] for r in batch if r.sweeps_used]
+    assert calls["off_norm"] == 1 + len(later)
+    first = batch[0].history[0]
+    assert calls["alpha"] == (first.alpha is not None) + sum(h.alpha is not None for h in later)
+    for m, res in enumerate(batch, 1):
+        assert res.history[0].off_total is first.off_total
+        assert res.history[0].alpha is first.alpha
+        assert_records_replay(A, res, m, opts.tol)
 
 
 @given(n=st.integers(2, 12), e=st.floats(0.0, 150.0), seed=st.integers(0, 2**32 - 1),
