@@ -119,10 +119,7 @@ def _place_line(a: np.ndarray, seen: np.ndarray, line: str, no: int,
     if seen[(i - 1) * n + j - 1]:
         raise ParseError(no, f"duplicate entry ({i}, {j})")
     seen[(i - 1) * n + j - 1] = True
-    val = _parse_float(toks[2], no) if width == 3 else 1.0
-    a[i - 1, j - 1] = val
-    if symmetric:
-        a[j - 1, i - 1] = val
+    a[i - 1, j - 1] = _parse_float(toks[2], no) if width == 3 else 1.0
 
 
 def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
@@ -149,8 +146,6 @@ def _bulk_entries(a: np.ndarray, seen: np.ndarray, block: list, width: int,
         return False
     seen[key] = True
     a[i - 1, j - 1] = vals
-    if symmetric:
-        a[j - 1, i - 1] = vals
     return True
 
 
@@ -174,10 +169,11 @@ def read_matrix_market(path) -> SymMatrix:
     ``_BLOCK`` whole lines, and the matrix is allocated once the size line is
     read. Blocks of coordinate lines go through numpy's C reader in bulk; a
     block in doubt is read again line by line with Python's ``int`` and
-    ``float``. Array values are placed as each block is parsed. Past the first
-    offending line, or past the declared count, lines are only counted; at the
-    end a wrong entry or value count is raised first, then an order too large
-    to allocate, then the first offending line's error.
+    ``float``. Array values are placed as each block is parsed; a symmetric
+    file fills the lower triangle, copied onto the upper one at the end. Past
+    the first offending line, or past the declared count, lines are only
+    counted; at the end a wrong entry or value count is raised first, then an
+    order too large to allocate, then the first offending line's error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         chunks = _chunks(fh)
@@ -242,10 +238,10 @@ def read_matrix_market(path) -> SymMatrix:
                         if not symmetric:
                             a.T.flat[start:found] = vals
                         else:  # the lower triangle (want values) in column-major order
-                            # is _lower_block's row-major one backwards, i -> n - 1 - i
+                            # is _lower_block's row-major one backwards, i -> n - 1 - i,
+                            # transposed
                             rows, cols = _lower_block(want - found, want - start)
-                            i, j = n - 1 - rows, n - 1 - cols
-                            a[i, j] = a[j, i] = vals[::-1]
+                            a[n - 1 - cols, n - 1 - rows] = vals[::-1]
                     elif not _bulk_entries(a, seen, block, width, symmetric):
                         for line, no in zip(block, block_nos):
                             _place_line(a, seen, line, no, width, symmetric)
@@ -267,8 +263,15 @@ def read_matrix_market(path) -> SymMatrix:
         finally:  # the frame would hold the error, and its traceback the frame
             error = None
     del seen
-    # Both triangles of a symmetric file are placed from one finite value.
-    return SymMatrix._wrap(a) if symmetric else _numerically_symmetric(a, "general file")
+    if not symmetric:
+        return _numerically_symmetric(a, "general file")
+    # The lower triangle onto the upper, 64 rows at a time: no n x n temporary,
+    # and copies, not adds, so -0.0 keeps its sign.
+    for s in range(0, n, 64):
+        a[s:s + 64, s + 64:] = a[s + 64:, s:s + 64].T
+        block = a[s:s + 64, s:s + 64]
+        np.copyto(block, block.T, where=~np.tri(len(block), dtype=bool))
+    return SymMatrix._wrap(a)
 
 
 def _size_line(line: str, no: int, fmt: str, symmetric: bool) -> tuple[int, int]:

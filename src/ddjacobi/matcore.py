@@ -166,6 +166,16 @@ def off_norm(A) -> float:
     return frob_norm(omega(A))
 
 
+def _off_norm_in_place(a: np.ndarray) -> float:
+    """:func:`off_norm` of the writable a without its n x n copy: a's
+    diagonal is zeroed for the norm, then restored."""
+    d = a.diagonal().copy()
+    np.fill_diagonal(a, 0.0)
+    off = frob_norm(a)
+    np.fill_diagonal(a, d)
+    return off
+
+
 def off_row(A, i: int) -> float:
     """Off-diagonal norm of row i: sqrt(sum_{j != i} a_ij^2). 0-based."""
     a = _entries(A)
@@ -197,6 +207,16 @@ def frob_norm(A) -> float:
         return s
     x = x / s
     return s * math.sqrt(np.vdot(x, x))
+
+
+def _row_norms(x: np.ndarray) -> list[float]:
+    """:func:`frob_norm` of each row of the 2-D x, in one stack of row-by-column
+    products: numpy's dot loop per row, ``np.vdot``'s BLAS dot, so its bits.
+    Rows outside frob_norm's plain range are retaken by frob_norm."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel()).tolist()
+    return [norm if _TINY_NORM <= norm < math.inf else frob_norm(x[i])
+            for i, norm in enumerate(norms)]
 
 
 def omega(A) -> SymMatrix:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvalidOptions, NoConvergence
-from .matcore import EPS, _is_int, _peak_positive, as_symmatrix, frob_norm
+from .matcore import (EPS, _is_int, _off_norm_in_place, _peak_positive, as_symmatrix,
+                      frob_norm)
 
 __all__ = ["EigDecomposition", "full_jacobi"]
 
@@ -98,12 +99,7 @@ def full_jacobi(A, threshold: float = 0.0, max_sweeps: int = 60, *,
         (a, _, _, diag, _, _), (b, *_) = bufs
         np.copyto(b, a.T)
         np.copyto(a, b, where=above)
-        # off_norm(a) without its N x N copy: the diagonal is zeroed in place
-        # for the norm, then restored.
-        d = diag.copy()
-        diag[:] = 0.0
-        off = frob_norm(a)
-        diag[:] = d
+        off = _off_norm_in_place(a)
         if not off > target:
             break
         if sweeps >= max_sweeps:

@@ -6,7 +6,8 @@ rotates in the planes (k, m) for k = 1..m-1 ascending and k = n..m+1
 descending, annihilating A[m, k] whenever its magnitude clears the ``tol``
 gate. Rotations carry the ordering policy of :func:`ddjacobi.rotation.schur2`,
 which keeps the diagonal sorted as it converges to the eigenvalues.
-:func:`solve_many` runs several ranks of one matrix as one batch.
+:func:`solve_many` runs several ranks of one matrix as one batch, its
+bookkeeping (rotation log, vector replay, stopping norms) by the sweep.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy as np
 
 from .diagnostics import alpha
 from .errors import InputError, InvalidOptions
-from .matcore import (EPS, Permutation, SymMatrix, _is_int, _peak_positive, _scale,
-                      as_symmatrix, frob_norm, off_norm, off_row, sort_by_diagonal)
+from .matcore import (EPS, Permutation, SymMatrix, _is_int, _off_norm_in_place,
+                      _peak_positive, _row_norms, _scale, as_symmatrix, frob_norm,
+                      sort_by_diagonal)
 from .rotation import _tangent_cs, apply_right
 
 __all__ = ["SolveStatus", "SolveOptions", "SweepRecord", "EigenpairResult",
@@ -36,10 +38,6 @@ STOP_REL_DEFAULT = math.sqrt(EPS)
 # consecutive sweeps.
 _STAGNATION_SWEEPS = 10
 _STAGNATION_DROP = 1e-3
-
-# Batched plan steps whose logged rotations the eigenvector replay unpacks
-# at a time (into 64 bytes per rotation beyond the 16-byte log).
-_REPLAY_BLOCK = 256
 
 
 class SolveStatus(Enum):
@@ -190,8 +188,8 @@ def sweep(A, m: int, tol: float = 0.0, V: np.ndarray | None = None, *,
 
 def _totals(a: np.ndarray) -> tuple[float, float | None]:
     """A full record's off_total and alpha, :func:`off_norm` and :func:`alpha`
-    of a (alpha None where a diagonal entry is zero)."""
-    return off_norm(a), alpha(a) if np.all(a.diagonal() != 0.0) else None
+    of the private a (alpha None where a diagonal entry is zero)."""
+    return _off_norm_in_place(a), alpha(a) if np.all(a.diagonal() != 0.0) else None
 
 
 def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
@@ -209,20 +207,41 @@ def _snapshot(a: np.ndarray, m0: int, off_row_m: float, k: int, rotations: int,
     return rec
 
 
-def _replay(x: list[float], m0: int, ks: array, ts: array) -> list[float]:
-    """Apply the rotations :func:`sweep` logged to x, last one first."""
-    for k, t in zip(reversed(ks), reversed(ts)):
-        swapped = k < 0
-        if swapped:
-            k = ~k
-        p, q = (k, m0) if k < m0 else (m0, k)
-        i, j = (q, p) if swapped else (p, q)
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
-        xi, xj = x[i], x[j]
-        x[p] = c * xi + s * xj
-        x[q] = c * xj - s * xi
-    return x
+def _replay_sweep(x: np.ndarray, rows, m0, k: np.ndarray, t: np.ndarray,
+                  swap: np.ndarray, live: np.ndarray | None) -> None:
+    """Apply one sweep's logged rotations to rows ``rows`` of x, last one first.
+
+    Step j rotated row l's target in plane (k[j, l], m0[l]) by tangent t[j, l],
+    swapped where ``swap`` is set, where ``live`` is (None: everywhere). A
+    sweep rotates each k once, so x_k is read only before the sweep; only
+    x_m = y carries, as y <- u y + b with b = v x_k formed beforehand: one
+    product and one add per step for all rows. Each new entry is the sum of
+    :class:`_RotationLog`'s two products, so bit-identical to a scalar replay.
+    """
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    sig = t * c  # s, negated where k < m
+    np.negative(sig, out=sig, where=k < m0)
+    # (x_k, x_m) <- (e x_k + f y, u y + v x_k)
+    u, v, e, f = np.where(swap, (sig, c, -sig, c), (c, sig, c, -sig))
+    xk = x[rows, k]
+    b = v * xk
+    if live is not None:  # a step that did not rotate keeps y: 1 y + -0.0 is y, -0.0 too
+        u, b = np.where(live, u, 1.0), np.where(live, b, -0.0)
+    ys = np.empty((len(t) + 1, t.shape[1]))  # ys[j + 1] is the y step j reads
+    ys[-1] = x[rows, m0]
+    if ys.shape[1] == 1:  # one row: Python floats, not numpy calls, per step
+        y, chain = ys.item(-1), [ys.item(-1)]
+        for uj, bj in zip(u[::-1, 0].tolist(), b[::-1, 0].tolist()):
+            y = uj * y + bj
+            chain.append(y)
+        ys[::-1, 0] = chain
+    else:
+        for uj, bj, yj, y in zip(u[::-1], b[::-1], ys[-2::-1], ys[::-1]):
+            np.multiply(uj, y, out=yj)
+            np.add(yj, bj, out=yj)
+    new = xk * e + ys[1:] * f
+    x[rows, k] = new if live is None else np.where(live, new, xk)
+    x[rows, m0] = ys[0]
 
 
 class _RotationLog:
@@ -235,55 +254,29 @@ class _RotationLog:
     (c x_i + s x_j, c x_j - s x_i) with (i, j) = (p, q), or (q, p) after the
     t1 > t2 swap.
 
-    Each rotation costs 12-16 bytes: its tangent t, from which c and s are
-    recomputed with the expressions of ``_tangent_cs``, and its plane.
-    A batched step logs the flat (i, j) of each rotation in the
-    (targets x n) replay array, replayed ``_REPLAY_BLOCK`` steps at a time;
-    the target that ran alone through :func:`sweep` at the end logs k
-    (~k when swapped) in ``tail``.
+    ``sweeps`` holds one entry per sweep, replayed by :func:`_replay_sweep`:
+    its targets, k, ``lives``, tangents t and swap flags, with c and s
+    recomputed from t by the expressions of ``_tangent_cs``. A batched sweep
+    logs (n - 1) x targets arrays, a step per row and k from the plan: 10
+    bytes per target and step. A sweep run alone logs a column per rotation
+    and no ``lives``: 13 bytes per rotation.
     """
 
     def __init__(self):
-        self.pairs, self.ts, self.starts = array("i"), array("d"), array("i")
-        self.lone: int | None = None
-        self.tail = (array("i"), array("d"))
+        self.sweeps: list[tuple] = []
 
-    def add(self, pairs: bytes, t: np.ndarray) -> None:
-        """Log one batched step: its :func:`_pairs` and tangents."""
-        self.starts.append(len(self.ts))
-        self.pairs.frombytes(pairs)
-        self.ts.frombytes(t.tobytes())
+    def lone(self, i: int, tail: tuple[array, array]) -> None:
+        """Log a sweep target i ran alone, from :func:`sweep`'s ``_log``."""
+        k, t = (np.array(log)[:, None] for log in tail)
+        swap = k < 0
+        self.sweeps.append(([i], np.where(swap, ~k, k), None, t, swap))
 
-    def alone(self, i: int) -> tuple[array, array]:
-        """The tail log of target i, which now sweeps alone."""
-        self.lone = i
-        return self.tail
-
-    def vectors(self, m0s: list[int], n: int) -> np.ndarray:
-        """Row i is V e_m of target i, in the sorted ordering."""
-        x = np.zeros((len(m0s), n))
-        x[np.arange(len(m0s)), m0s] = 1.0
-        if self.lone is not None:  # its tail holds the latest rotations
-            x[self.lone] = _replay(x[self.lone].tolist(), m0s[self.lone], *self.tail)
-        xf = x.reshape(-1)
-        pairs = np.frombuffer(self.pairs, dtype=np.intc).reshape(-1, 2)
-        ts = np.frombuffer(self.ts)
-        steps, end = len(self.starts), len(ts)
-        for first in reversed(range(0, steps, _REPLAY_BLOCK)):
-            base = self.starts[first]
-            ij = pairs[base:end].T.astype(np.intp)
-            pq = np.sort(ij, axis=0)
-            t = ts[base:end]
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            sn = np.stack((s, -s))  # (x_p, x_q) <- c (x_i, x_j) + (s, -s) (x_j, x_i)
-            hi = end - base
-            for j in reversed(range(first, min(first + _REPLAY_BLOCK, steps))):
-                lo = self.starts[j] - base
-                r = xf[ij[:, lo:hi]]
-                xf[pq[:, lo:hi]] = r * c[lo:hi] + r[::-1] * sn[:, lo:hi]
-                hi = lo
-            end = base
+    def vectors(self, m0: np.ndarray, n: int) -> np.ndarray:
+        """Row i is V e_m of target i (m - 1 = m0[i]), in the sorted ordering."""
+        x = np.zeros((len(m0), n))
+        x[np.arange(len(m0)), m0] = 1.0
+        for tix, k, lives, t, swap in reversed(self.sweeps):
+            _replay_sweep(x, tix, m0[tix], k, t, swap, lives)
         return x
 
 
@@ -292,12 +285,12 @@ def _plan(n: int, targets: tuple[int, ...], m0s: tuple[int, ...]):
     """The read-only index arrays of one batched sweep, per active set.
 
     A sweep takes n - 1 plan steps; step j of target m0 rotates in plane
-    (k, m0), k from :func:`_order`. Returns the targets' stack indices and,
-    per step: the flat (p, p), (p, q), (q, q) entries; rows p and q in the
-    (targets * n, n) view; the plane (p, q) as column indices; the 2x2
-    block's slots in the two new rows (:func:`_block`); and the rows as the
-    rotation log stores them. A plan takes 96 bytes per target and step,
-    under 12/n of the working stack; the cache keeps the last two.
+    (k, m0), k from :func:`_order`. Returns the targets' stack indices, k
+    for each step and target, and per step: the flat (p, p), (p, q), (q, q)
+    entries; rows p and q in the (targets * n, n) view; the plane (p, q) as
+    column indices; and the 2x2 block's slots in the two new rows
+    (:func:`_block`). A plan takes 96 bytes per target and step, 12/n of the
+    working stack; the cache keeps the last two.
     """
     tix = np.array(targets)
     m0 = np.array(m0s)
@@ -306,10 +299,9 @@ def _plan(n: int, targets: tuple[int, ...], m0s: tuple[int, ...]):
     rows = planes + tix * n
     entries = rows[:, [0, 0, 1]] * n + planes[:, [0, 1, 1]]
     blocks = _block(planes, n)
-    for x in (tix, entries, rows, planes, blocks):
+    for x in (tix, k, entries, rows, planes, blocks):
         x.flags.writeable = False
-    return tix, [(e, r, c, blk, _pairs(r))
-                 for e, r, c, blk in zip(entries, rows, planes, blocks)]
+    return tix, k, list(zip(entries, rows, planes, blocks))
 
 
 def _order(n: int, m0) -> np.ndarray:
@@ -322,11 +314,6 @@ def _block(cols: np.ndarray, n: int) -> np.ndarray:
     """Flat index of entry cols[x] of new row y of target l in the
     (2, live, n) pair of new rows, at [x, y, l] (cols is (..., 2, live))."""
     return cols[..., None, :] + np.arange(0, 2 * cols.shape[-1] * n, n).reshape(2, -1)
-
-
-def _pairs(ij: np.ndarray) -> bytes:
-    """(2, live) flat indices (i, j) as the rotation log stores them."""
-    return ij.T.astype(np.intc).tobytes()
 
 
 # theta = (a_qq - a_pp) / (2 a_pq) may overflow: inf gives t = 0, silently as in
@@ -346,26 +333,30 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
     index arrays come from :func:`_plan`'s cache, so the sweeps of one call
     and ``track``'s solve per step (one order, every rank) build them once;
     a step in which every target is live uses them as they are. ``log``,
-    when given, receives each step's rotations. Memory beyond the stack is
-    O(n * targets).
+    when given, gets the sweep's targets, k and live mask, and its tangents
+    and swap flags as (n - 1) x targets arrays, a step per row. Memory
+    beyond the stack is O(n * targets).
     """
     n = a.shape[1]
     a2, af, at = a.reshape(-1, n), a.reshape(-1), a.transpose(0, 2, 1)
-    tix, plan = _plan(n, tuple(targets), tuple(ranks[i] - 1 for i in targets))
+    tix, k, plan = _plan(n, tuple(targets), tuple(ranks[i] - 1 for i in targets))
     # On finite entries, the same gate as sweep's a_pq != 0 and not |a_pq| < tol.
     gate = max(tol, math.ulp(0.0))
     lives = np.empty((n - 1, len(targets)), dtype=bool)
-    for live, (g, src, cols, block, pairs) in zip(lives, plan):
+    ts, swaps = np.zeros(lives.shape), np.zeros(lives.shape, dtype=bool)
+    for j, (g, src, cols, block) in enumerate(plan):
+        live = lives[j]
         g = af[g]
         apq = g[1]
         np.greater_equal(np.abs(apq), gate, out=live)
         nlive = np.count_nonzero(live)
         if not nlive:
             continue
-        sel = tix
+        sel, cut = tix, slice(None)
         if nlive < live.size:
-            g, src, cols, sel = g[:, live], src[:, live], cols[:, live], tix[live]
-            apq, block, pairs = g[1], _block(cols, n), None
+            sel, cut = tix[live], live
+            g, src, cols = g[:, live], src[:, live], cols[:, live]
+            apq, block = g[1], _block(cols, n)
         app, aqq = g[0], g[2]
         theta = (aqq - app) / (2.0 * apq)
         hyp = np.fromiter(map(math.hypot, repeat(1.0), theta.tolist()), float, nlive)
@@ -384,7 +375,8 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
         swap = app - tpq > aqq + tpq
         if np.count_nonzero(swap):  # sweep's t1 > t2 rotation (s, c, c, -s)
             w = np.where(swap, w[:, ::-1], w)
-            pairs = None  # a swapped pair logs as (q, p)
+        if log is not None:
+            ts[j, cut], swaps[j, cut] = t, swap
         # New row i is w[0, i] * row p + w[1, i] * row q, as in sweep; their
         # entries in columns p and q are sweep's ((c1, d1), (c2, d2)).
         r = w[:, :, :, None] * a2.take(src, axis=0)[:, None]
@@ -396,8 +388,8 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
         rf[block] = vals
         a2[src] = r
         at[sel, cols] = r
-        if log is not None:
-            log.add(_pairs(np.where(swap, src[::-1], src)) if pairs is None else pairs, t)
+    if log is not None:
+        log.sweeps.append((tix, k, lives, ts, swaps))
     return np.count_nonzero(lives, axis=0).tolist()
 
 
@@ -414,9 +406,10 @@ class _Target:
         self.status = SolveStatus.MAX_SWEEPS
         self.sweeps_used = 0
 
-    def note(self, a: np.ndarray, k: int, rotations: int, threshold: float) -> bool:
-        """Record the state after sweep k; True once a stopping rule fired."""
-        off_m = off_row(a, self.m0)
+    def note(self, a: np.ndarray, off_m: float, k: int, rotations: int,
+             threshold: float) -> bool:
+        """Record the state after sweep k, whose off_row(a, m0) is ``off_m``;
+        True once a stopping rule fired."""
         recent = self.recent
         recent.append(off_m)
         self.sweeps_used = k
@@ -460,14 +453,16 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     ranks come from ``ms`` and ``opts.m`` is not used. The matrix is sorted
     and the stopping threshold computed once, then all targets that have not
     stopped sweep together on a (targets x n x n) working stack, through
-    :func:`_sweep_many` and its cached plan, each checking its row's
-    :func:`matcore.off_row` after each sweep. A target leaves the batch when
-    it stops; while a single target is left it runs through :func:`sweep`
-    directly. Every norm is :func:`matcore.frob_norm`, which rescales where
-    squares would overflow or flush to zero, so 1e200*A and 1e-300*A sweep
-    as A does. With ``want_vector`` each applied rotation is logged in 12-16
-    bytes, and the eigenvectors are rebuilt at the end by applying the logged
-    rotations to e_m in reverse order, then signed and normalized together.
+    :func:`_sweep_many` and its plan, cached per order and active set. After
+    each sweep the targets' rows m are gathered at once for their
+    :func:`matcore.off_row`. A target leaves the batch when it stops; while
+    a single target is left it runs through :func:`sweep` directly. Every
+    norm is :func:`matcore.frob_norm`, which rescales where squares would
+    overflow or flush to zero, so 1e200*A and 1e-300*A sweep as A does. With
+    ``want_vector`` the rotations are logged, a batched sweep's in 10 bytes
+    per target and step and a lone one's in 13 per rotation, and the
+    eigenvectors are rebuilt at the end by applying them to e_m in reverse
+    order, a sweep at a time, then signed and normalized together.
     """
     M = as_symmatrix(A)
     n = M.n
@@ -486,17 +481,24 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
     log = _RotationLog() if opts.want_vector else None
 
+    m0s = np.array([run.m0 for run in runs])
     k, active, counts = 0, list(range(len(runs))), [0] * len(runs)
     while True:
-        active = [i for i, rotations in zip(active, counts)
-                  if not runs[i].note(work[i], k, rotations, threshold)]
+        # off_row of every active target: row m gathered at once, a_mm zeroed.
+        m0 = m0s[active]
+        rows = work[active, m0]
+        rows[np.arange(len(active)), m0] = 0.0
+        active = [i for i, off_m, rotations in zip(active, _row_norms(rows), counts)
+                  if not runs[i].note(work[i], off_m, k, rotations, threshold)]
         k += 1
         if not active or k > opts.max_sweeps:
             break
         if len(active) == 1:
             i = active[0]
-            tail = None if log is None else log.alone(i)
+            tail = None if log is None else (array("i"), array("d"))
             counts = [sweep(work[i], ranks[i], opts.tol, _log=tail)]
+            if tail is not None:
+                log.lone(i, tail)
         else:
             counts = _sweep_many(work, active, ranks, opts.tol, log)
 
@@ -504,9 +506,9 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     if log is not None:
         # Row i is target i's vector in the original ordering, its sign set by
         # _peak_positive's rule and its length by frob_norm.
-        x = log.vectors([run.m0 for run in runs], n)
+        x = log.vectors(m0s, n)
         v = _peak_positive(perm.scatter(x.T).T)
-        v /= np.array([frob_norm(row) for row in v])[:, None]
+        v /= np.array(_row_norms(v))[:, None]
         vectors = list(v)
     return [EigenpairResult(
         lambda_hat=float(work[i, run.m0, run.m0]),

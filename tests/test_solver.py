@@ -494,7 +494,7 @@ def test_first_records_share_one_pair_of_norms(case, monkeypatch):
     make, opts, _ = RECORD_CASES[case]
     A = make()
     n = as_symmatrix(A).n
-    calls = {"off_norm": 0, "alpha": 0}
+    calls = {"_totals": 0, "alpha": 0}  # _totals takes each pair's off_total
     for name in calls:
         def counted(a, real=getattr(solver, name), name=name):
             calls[name] += 1
@@ -503,7 +503,7 @@ def test_first_records_share_one_pair_of_norms(case, monkeypatch):
     batch = solve_many(A, range(1, n + 1), opts)
     monkeypatch.undo()
     later = [r.history[-1] for r in batch if r.sweeps_used]
-    assert calls["off_norm"] == 1 + len(later)
+    assert calls["_totals"] == 1 + len(later)
     first = batch[0].history[0]
     assert calls["alpha"] == (first.alpha is not None) + sum(h.alpha is not None for h in later)
     for m, res in enumerate(batch, 1):
@@ -612,6 +612,9 @@ SOLVE_MANY_CASES = {
     # ||A||_F ~ 1e-299: the batch takes the rescaled row norms.
     "underflow": (lambda: 1e-300 * dio.gen_random_dd(10, 0.3, 5).a,
                   SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
+    # Squares past the float range: the rescaled row norms at the other end.
+    "overflow": (lambda: 1e200 * dio.gen_random_dd(10, 0.3, 5).a,
+                 SolveOptions(m=1, want_vector=True), SolveStatus.CONVERGED),
 }
 
 
@@ -745,11 +748,46 @@ def test_replayed_vector_matches_accumulated_v():
     assert min(ks) < 0 <= max(ks)    # swapped (~k) and unswapped rotations both ran
 
 
+def coupled_blocks():
+    """rand_sym(6) beside coupling_at_tol() + 10 I, permuted. Couplings across
+    the blocks stay exact zeros; the small block's rows meet a coupling just
+    below the gate; the non-dominant block swaps, and its slowest rank sweeps
+    alone at the end."""
+    a = np.zeros((11, 11))
+    a[:6, :6] = rand_sym(np.random.default_rng(1), 6)
+    a[6:, 6:] = coupling_at_tol() + 10.0 * np.eye(5)
+    return Permutation(np.random.default_rng(0).permutation(11)).apply(a).a
+
+
+def test_batched_vectors_match_accumulated_v(monkeypatch):
+    # Every rank's vector from one batch, replayed a sweep at a time, against
+    # the V that sweep accumulates, on a log with all the replay's cases.
+    A, tol = coupled_blocks(), GATE_TOL
+    replays = []
+
+    def watched(x, rows, m0, k, t, swap, live, replay=solver._replay_sweep):
+        replays.append((len(rows), live is not None and not live.all(), bool(swap.any())))
+        replay(x, rows, m0, k, t, swap, live)
+
+    monkeypatch.setattr(solver, "_replay_sweep", watched)
+    batch = solve_many(A, range(1, 12), SolveOptions(m=1, tol=tol, want_vector=True))
+    monkeypatch.undo()
+    for m, res in enumerate(batch, 1):
+        v = accumulated(A, m, res, tol, None)
+        assert np.max(np.abs(res.vector - v)) <= 1e-12
+    assert any(r.status is SolveStatus.TOLERANCE_FLOOR for r in batch)  # gated by tol
+    batched = [r for r in replays if r[0] > 1]
+    assert any(gated for _, gated, _ in batched)    # steps that did not rotate
+    assert any(swapped for _, _, swapped in batched)
+    assert len({rows for rows, _, _ in batched}) >= 3   # the active set shrank
+    assert len(replays) - len(batched) >= 2         # lone sweeps, replayed one by one
+
+
 @pytest.mark.parametrize("ms", [[128], [1, 255]])
 def test_vectors_take_no_n_by_n_storage(ms):
     # An n x n V per target (8 n^2 bytes) would exceed the bound alone. The
     # rotation log grows with the sweeps: rank 128 runs 45 of them (its log
-    # is ~140 kB); ranks 1 and 255 run 6 together, then 255 runs 8 alone.
+    # is ~150 kB); ranks 1 and 255 run 6 together, then 255 runs 8 alone.
     A = dio.gen_diag_rank1(255)
 
     def run(want_vector):
