@@ -81,13 +81,13 @@ def cmd_eig(args) -> int:
                         max_sweeps=args.max_sweeps, want_vector=args.vector,
                         record_history=args.history is not None)
     res = solve(A, opts)
-    lam = _exact_values(A)[args.m - 1] if args.ref else None
     _emit("lambda_hat", res.lambda_hat)
     _emit("status", res.status.value)
     _emit("sweeps", res.sweeps_used)
     if args.vector:
         _emit("vector", dio._csv_row(res.vector))
     if args.history:
+        lam = _exact_values(A)[args.m - 1] if args.ref else None
         rows = [dio.HistoryRow.from_record(
                     rec, None if lam is None else abs(rec.a_mm - lam))
                 for rec in res.history]
@@ -200,7 +200,8 @@ def _build_parser() -> _Parser:
     eig.add_argument("--vector", action="store_true")
     eig.add_argument("--history", help="write per-sweep CSV here")
     eig.add_argument("--ref", action="store_true",
-                     help="also compute the exact spectrum for err_vs_ref")
+                     help="fill --history's err_vs_ref from the exact spectrum "
+                          "(computed only with --history)")
     eig.set_defaults(fn=cmd_eig)
 
     full = sub.add_parser("full", help="full spectrum via classical Jacobi")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import warnings
 from dataclasses import astuple, dataclass
 from itertools import chain, compress, islice, repeat
@@ -35,7 +34,6 @@ __all__ = ["HistoryRow", "read_matrix_market", "write_matrix_market",
 HISTORY_HEADER = "sweep,off_row_m,off_total,a_mm,alpha,err_vs_ref"
 _BLOCK = 4096  # body lines parsed at once, bounding the live arrays
 _ENTRY = {3: np.dtype("i8,i8,f8"), 2: np.dtype("i8,i8")}  # by fields per line
-_SKIPPED = {"", "%"}.__contains__  # first character of a blank or % line
 
 
 @dataclass
@@ -163,17 +161,18 @@ def read_matrix_market(path) -> SymMatrix:
 
     Accepts ``coordinate`` and ``array`` formats with ``real``, ``integer``
     or ``pattern`` fields (pattern entries read as 1.0) and ``symmetric`` or
-    ``general`` storage. General files must be numerically symmetric within
-    4 * eps * max|entry|. Indices are 1-based; symmetric coordinate files
-    store the lower triangle. The file is read in one pass, in chunks of about
-    ``_BLOCK`` whole lines, and the matrix is allocated once the size line is
-    read. Blocks of coordinate lines go through numpy's C reader in bulk; a
-    block in doubt is read again line by line with Python's ``int`` and
-    ``float``. Array values are placed as each block is parsed; a symmetric
-    file fills the lower triangle, copied onto the upper one at the end. Past
-    the first offending line, or past the declared count, lines are only
-    counted; at the end a wrong entry or value count is raised first, then an
-    order too large to allocate, then the first offending line's error.
+    ``general`` storage. General files must be numerically symmetric by the
+    rule of :meth:`SymMatrix.symmetrized`. Indices are 1-based; symmetric
+    coordinate files store the lower triangle. The file is read in one pass,
+    in chunks of about ``_BLOCK`` whole lines, and the matrix is allocated
+    once the size line is read. Blocks of coordinate lines go through numpy's
+    C reader in bulk; a block in doubt is read again line by line with
+    Python's ``int`` and ``float``. Array values are placed as each block is
+    parsed, row by row of A.T; a symmetric file fills each row from the
+    diagonal on, and its lower triangle is copied onto the upper one at the
+    end. Past the first offending line, or past the declared count, lines are
+    only counted; at the end a wrong entry or value count is raised first,
+    then an order too large to allocate, then the first offending line's error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         chunks = _chunks(fh)
@@ -198,7 +197,7 @@ def read_matrix_market(path) -> SymMatrix:
 
         symmetric, width = symkind == "symmetric", 2 if fieldkind == "pattern" else 3
         size_no = a = error = None
-        found = read = 0
+        found = read = row = col = 0
         while text:
             # Body lines and their 1-based numbers. An ASCII chunk whose least
             # line sorts after "%" (so after every ASCII blank) is all body;
@@ -206,9 +205,8 @@ def read_matrix_market(path) -> SymMatrix:
             # by their first non-blank character.
             if text.isascii() and min(lines) >= "&":
                 body, nos = lines, range(read + 1, read + 1 + len(lines))
-            else:
-                keep = list(map(operator.not_, map(_SKIPPED, map(
-                    operator.itemgetter(slice(1)), map(str.lstrip, lines)))))
+            else:  # a blank's "" and a comment's "%" are both in "%"
+                keep = [ln.lstrip()[:1] not in "%" for ln in lines]
                 body = list(compress(lines, keep))
                 nos = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + read + 1
             read += len(lines)
@@ -223,25 +221,20 @@ def read_matrix_market(path) -> SymMatrix:
                     a = None
             for s in range(0, len(body), _BLOCK):
                 block, block_nos = body[s:s + _BLOCK], map(int, nos[s:s + _BLOCK])
-                start = found
-                if fmt == "array":
-                    toks = " ".join(block).split()
-                    found += len(toks)
-                else:
-                    found += len(block)
+                toks = " ".join(block).split() if fmt == "array" else block
+                found += len(toks)
                 if a is None or error is not None or found > want:
                     continue
                 try:
-                    if fmt == "array":  # values come in column-major order
+                    if fmt == "array":  # column-major: a.T's rows, from the cursor on
                         vals = _floats(toks, (
                             no for ln, no in zip(block, block_nos) for _ in ln.split()))
-                        if not symmetric:
-                            a.T.flat[start:found] = vals
-                        else:  # the lower triangle (want values) in column-major order
-                            # is _lower_block's row-major one backwards, i -> n - 1 - i,
-                            # transposed
-                            rows, cols = _lower_block(want - found, want - start)
-                            a[n - 1 - cols, n - 1 - rows] = vals[::-1]
+                        while len(vals):
+                            e = min(n, col + len(vals))
+                            a[col:e, row] = vals[:e - col]
+                            vals, col = vals[e - col:], e
+                            if col == n:  # a symmetric file's rows start at the diagonal
+                                row, col = row + 1, row + 1 if symmetric else 0
                     elif not _bulk_entries(a, seen, block, width, symmetric):
                         for line, no in zip(block, block_nos):
                             _place_line(a, seen, line, no, width, symmetric)
@@ -292,15 +285,6 @@ def _size_line(line: str, no: int, fmt: str, symmetric: bool) -> tuple[int, int]
     if nrows < 1:
         raise ParseError(no, "order must be positive")
     return nrows, nnz
-
-
-def _lower_block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the lower triangle's entries s to e - 1, counted
-    row by row, taken from the few rows they lie in."""
-    first, last = ((math.isqrt(8 * k + 1) - 1) // 2 for k in (s, e - 1))
-    rows, cols = np.nonzero(np.tri(last - first + 1, last + 1, first, dtype=bool))
-    cut = s - first * (first + 1) // 2
-    return rows[cut:cut + e - s] + first, cols[cut:cut + e - s]
 
 
 def write_matrix_market(path, A) -> None:

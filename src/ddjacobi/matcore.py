@@ -95,23 +95,22 @@ class SymMatrix:
     @classmethod
     def _symmetrize(cls, a: np.ndarray) -> "SymMatrix":
         """:meth:`symmetrized` on a private finite square float64 array, checked
-        and then averaged in place, a block of rows s:e at a time from column s
-        on. Row-major, the first offending entry lies above the diagonal, so it
-        is the first one these blocks meet, and the one reported."""
+        and averaged in place in one pass, a block of rows s:e at a time from
+        column s on; later blocks read only rows and columns past e. Row-major,
+        the first offending entry lies above the diagonal, so it is the first
+        one these blocks meet, and the one reported."""
         n = a.shape[0]
         rows = max(16, _BLOCK // n)
         d = np.sqrt(np.abs(a.diagonal()))
         top = max(float(a.max()), -float(a.min()))  # max|a_ij|, no n x n temporary
-        asymmetric = False
         for s in range(0, n, rows):
             e = s + rows
             # An asymmetry past the float range reads inf, above any finite allowance.
             with np.errstate(over="ignore"):
                 diff = np.subtract(a[s:e, s:], a[s:, s:e].T)
             np.abs(diff, out=diff)
-            if not diff.any():  # exactly symmetric rows skip the allowance
+            if not diff.any():  # exactly symmetric rows are left as they are
                 continue
-            asymmetric = True
             scale = np.outer(d[s:e], d[s:])
             scale[scale == 0.0] = np.inf
             limit = 4.0 * EPS * np.minimum(scale, top)
@@ -122,13 +121,10 @@ class SymMatrix:
                     f"asymmetry {diff[i, j]:.3e} at ({s + i}, {s + j}) exceeds "
                     f"its allowance {limit[i, j]:.3e}"
                 )
-        if asymmetric:  # exactly symmetric input comes back as it is
-            for s in range(0, n, rows):
-                e = s + rows
-                # Halving first cannot overflow, and is exact above the subnormals.
-                mean = 0.5 * a[s:e, s:] + 0.5 * a[s:, s:e].T
-                a[s:e, s:] = mean
-                a[s:, s:e] = mean.T
+            # Halving first cannot overflow, and is exact above the subnormals.
+            mean = 0.5 * a[s:e, s:] + 0.5 * a[s:, s:e].T
+            a[s:e, s:] = mean
+            a[s:, s:e] = mean.T
         return cls._wrap(a)
 
     @property

@@ -216,7 +216,7 @@ def _replay_sweep(x: np.ndarray, rows, m0, k: np.ndarray, t: np.ndarray,
     sweep rotates each k once, so x_k is read only before the sweep; only
     x_m = y carries, as y <- u y + b with b = v x_k formed beforehand: one
     product and one add per step for all rows. Each new entry is the sum of
-    :class:`_RotationLog`'s two products, so bit-identical to a scalar replay.
+    :func:`_vectors`' two products, so bit-identical to a scalar replay.
     """
     c = 1.0 / np.sqrt(1.0 + t * t)
     sig = t * c  # s, negated where k < m
@@ -244,40 +244,35 @@ def _replay_sweep(x: np.ndarray, rows, m0, k: np.ndarray, t: np.ndarray,
     x[rows, m0] = ys[0]
 
 
-class _RotationLog:
-    """The rotations one :func:`solve_many` call applied, kept for its vectors.
+def _lone(i: int, tail: tuple[array, array]) -> tuple:
+    """The log entry of a sweep target i ran alone, from :func:`sweep`'s ``_log``."""
+    k, t = (np.array(log)[:, None] for log in tail)
+    swap = k < 0
+    return [i], np.where(swap, ~k, k), None, t, swap
 
-    Target i's eigenvector is V e_m with V = R_1 R_2 ... R_K, so it is built
-    by applying the target's rotations to e_m, last one first: O(1) per
-    rotation and no n x n V. R maps (x_p, x_q) to
-    (w11 x_p + w12 x_q, w21 x_p + w22 x_q) with :func:`sweep`'s w, which is
-    (c x_i + s x_j, c x_j - s x_i) with (i, j) = (p, q), or (q, p) after the
-    t1 > t2 swap.
 
-    ``sweeps`` holds one entry per sweep, replayed by :func:`_replay_sweep`:
-    its targets, k, ``lives``, tangents t and swap flags, with c and s
-    recomputed from t by the expressions of ``_tangent_cs``. A batched sweep
-    logs (n - 1) x targets arrays, a step per row and k from the plan: 10
-    bytes per target and step. A sweep run alone logs a column per rotation
-    and no ``lives``: 13 bytes per rotation.
+def _vectors(log: list[tuple], m0s: np.ndarray, n: int) -> np.ndarray:
+    """Row i is V e_m of target i (m - 1 = m0s[i]), in the sorted ordering,
+    from the rotations one :func:`solve_many` call applied.
+
+    V = R_1 R_2 ... R_K, so the vector is built by applying the target's
+    rotations to e_m, last one first: O(1) per rotation and no n x n V. R
+    maps (x_p, x_q) to (w11 x_p + w12 x_q, w21 x_p + w22 x_q) with
+    :func:`sweep`'s w, which is (c x_i + s x_j, c x_j - s x_i) with
+    (i, j) = (p, q), or (q, p) after the t1 > t2 swap.
+
+    ``log`` holds one entry per sweep, replayed by :func:`_replay_sweep`: its
+    targets, k, ``lives``, tangents t and swap flags, with c and s recomputed
+    from t by the expressions of ``_tangent_cs``. A batched sweep logs
+    (n - 1) x targets arrays, a step per row and k from the plan: 10 bytes
+    per target and step. A sweep run alone logs a column per rotation and no
+    ``lives`` (:func:`_lone`): 13 bytes per rotation.
     """
-
-    def __init__(self):
-        self.sweeps: list[tuple] = []
-
-    def lone(self, i: int, tail: tuple[array, array]) -> None:
-        """Log a sweep target i ran alone, from :func:`sweep`'s ``_log``."""
-        k, t = (np.array(log)[:, None] for log in tail)
-        swap = k < 0
-        self.sweeps.append(([i], np.where(swap, ~k, k), None, t, swap))
-
-    def vectors(self, m0: np.ndarray, n: int) -> np.ndarray:
-        """Row i is V e_m of target i (m - 1 = m0[i]), in the sorted ordering."""
-        x = np.zeros((len(m0), n))
-        x[np.arange(len(m0)), m0] = 1.0
-        for tix, k, lives, t, swap in reversed(self.sweeps):
-            _replay_sweep(x, tix, m0[tix], k, t, swap, lives)
-        return x
+    x = np.zeros((len(m0s), n))
+    x[np.arange(len(m0s)), m0s] = 1.0
+    for tix, k, lives, t, swap in reversed(log):
+        _replay_sweep(x, tix, m0s[tix], k, t, swap, lives)
+    return x
 
 
 @functools.lru_cache(maxsize=2)
@@ -320,7 +315,7 @@ def _block(cols: np.ndarray, n: int) -> np.ndarray:
 # sweep. Guarded per call (~2 us), not per plan step (152 in a 20x20 track's 8 sweeps).
 @np.errstate(over="ignore")
 def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
-                log: _RotationLog | None) -> list[int]:
+                log: list[tuple] | None) -> list[int]:
     """One sweep of every listed target at once; rotations applied per target.
 
     ``a`` is the (targets x n x n) working stack. Plan step j rotates every
@@ -389,7 +384,7 @@ def _sweep_many(a: np.ndarray, targets: list[int], ranks: list[int], tol: float,
         a2[src] = r
         at[sel, cols] = r
     if log is not None:
-        log.sweeps.append((tix, k, lives, ts, swaps))
+        log.append((tix, k, lives, ts, swaps))
     return np.count_nonzero(lives, axis=0).tolist()
 
 
@@ -479,7 +474,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     runs = [_Target(m, first, opts.max_sweeps) for m in ranks]
     # sort_by_diagonal returned a private copy, so a lone target works in it.
     work = b[None] if len(ranks) == 1 else np.repeat(b[None], len(ranks), axis=0)
-    log = _RotationLog() if opts.want_vector else None
+    log = [] if opts.want_vector else None
 
     m0s = np.array([run.m0 for run in runs])
     k, active, counts = 0, list(range(len(runs))), [0] * len(runs)
@@ -498,7 +493,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
             tail = None if log is None else (array("i"), array("d"))
             counts = [sweep(work[i], ranks[i], opts.tol, _log=tail)]
             if tail is not None:
-                log.lone(i, tail)
+                log.append(_lone(i, tail))
         else:
             counts = _sweep_many(work, active, ranks, opts.tol, log)
 
@@ -506,7 +501,7 @@ def solve_many(A, ms, opts: SolveOptions) -> list[EigenpairResult]:
     if log is not None:
         # Row i is target i's vector in the original ordering, its sign set by
         # _peak_positive's rule and its length by frob_norm.
-        x = log.vectors(m0s, n)
+        x = _vectors(log, m0s, n)
         v = _peak_positive(perm.scatter(x.T).T)
         v /= np.array(_row_norms(v))[:, None]
         vectors = list(v)

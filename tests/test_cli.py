@@ -61,6 +61,25 @@ class TestEig:
         assert rows[-1].err_vs_ref < 1e-8
         capsys.readouterr()
 
+    def test_reference_spectrum_only_for_a_history(self, dom_mtx, tmp_path,
+                                                   monkeypatch, capsys):
+        calls, exact = [], cli._exact_values
+
+        def counted(A):
+            calls.append(A.n)
+            return exact(A)
+
+        argv = ["eig", "--input", str(dom_mtx), "--m", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_exact_values", counted)
+        assert main(argv + ["--ref"]) == 0
+        assert capsys.readouterr().out == plain
+        assert calls == []
+        assert main(argv + ["--ref", "--history", str(tmp_path / "h.csv")]) == 0
+        assert capsys.readouterr().out == plain
+        assert calls == [8]
+
     def test_history_round_trip(self, tmp_path, capsys):
         # drk1(63) takes many sweeps: off_total and alpha cells are empty on
         # every row but the first and last, and each row reads back as written.

@@ -753,7 +753,7 @@ class TestMatrixMarketMemory:
         assert peak < 3.0
 
     # Array values are placed as they are parsed, and a general file's matrix
-    # is checked for symmetry and averaged in place, by blocks of rows.
+    # is checked for symmetry and averaged in place, in one pass by blocks of rows.
     @pytest.mark.parametrize("fmt,symmetry,matrices", [
         ("array", "symmetric", 2.5), ("coordinate", "general", 2.5),
         ("array", "general", 2.5)])

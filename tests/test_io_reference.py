@@ -327,11 +327,17 @@ def _valid_files(tmp_path):
     full = [f"{i + 1} {j + 1} {a[i][j]!r}" for i, j in rng.permutation(
         [(i, j) for i in range(30) for j in range(30)])]
     upper = " ".join(repr(a[i][j]) for j in range(30) for i in range(j, 30))
+    # Column-major values, 1 to 3 a line, so blocks of lines end mid-row.
+    by_col = [repr(a[i][j]) for j in range(30) for i in range(30)]
+    cuts = np.cumsum(rng.integers(1, 4, 900))
+    spread = [" ".join(by_col[s:e]) for s, e in zip(np.r_[0, cuts], cuts) if s < 900]
+    spread.insert(len(spread) // 2, "% a comment among the values")
     for name, text in [
             ("pattern", f"coordinate pattern symmetric\n30 30 {len(cells)}\n{pattern}"),
             ("general", "coordinate real general\n% shuffled\n30 30 900\n"
                         + "\n".join(full)),
-            ("array", f"array real symmetric\n30 30\n{upper}")]:
+            ("array", f"array real symmetric\n30 30\n{upper}"),
+            ("array-general", "array real general\n30 30\n" + "\n".join(spread))]:
         (tmp_path / f"{name}.mtx").write_text(
             f"%%MatrixMarket matrix {text}\n", encoding="utf-8")
         out.append(tmp_path / f"{name}.mtx")

@@ -209,11 +209,17 @@ def _blocked_cases():
     tiny = tiny.copy()
     tiny[0, 39] = np.nextafter(tiny[0, 39], 1.0)
     yield "subnormal-near", tiny
+    mixed = rand_sym(rng, 300)
+    np.fill_diagonal(mixed, np.abs(mixed.diagonal()) + 300)
+    mixed[:27, 27:] += 3 * np.spacing(mixed[:27, 27:])  # averaged: the first block
+    mixed[298, 299] += 1e-6  # then an offender in the last block
+    yield "averaged-then-offender", mixed
 
 
 @pytest.mark.parametrize("a", [c[1] for c in _blocked_cases()],
                          ids=[c[0] for c in _blocked_cases()])
 def test_symmetrized_by_blocks_matches_one_pass(a):
+    given = a.copy()
     try:
         want = one_pass_symmetrized(a)
     except AsymmetricInput as exc:
@@ -222,6 +228,19 @@ def test_symmetrized_by_blocks_matches_one_pass(a):
         assert str(got.value) == str(exc)
     else:
         assert SymMatrix.symmetrized(a).a.tobytes() == want.tobytes()
+    assert a.tobytes() == given.tobytes()  # the caller's array is not touched
+
+
+def test_exactly_symmetric_blocks_keep_their_bits():
+    # Only a block of rows that holds an asymmetry is averaged. Halving rounds
+    # an odd subnormal, so averaging would move this exactly symmetric entry.
+    a = rand_sym(np.random.default_rng(23), 300)
+    np.fill_diagonal(a, 300.0)
+    a[250, 260] = a[260, 250] = 7 * 5e-324
+    a[0, 5] = np.nextafter(a[0, 5], 9.0)
+    got = SymMatrix.symmetrized(a).a
+    assert got[250, 260] == got[260, 250] == 7 * 5e-324
+    assert got[0, 5] == got[5, 0] == 0.5 * a[0, 5] + 0.5 * a[5, 0]
 
 
 def test_symmetrized_holds_its_one_copy():
